@@ -24,7 +24,6 @@ from .frontend import (
     FormulaSyntaxError,
     ast_flip,
     cnf_flip,
-    cnf_to_primes,
     eval_ast,
     eval_cnf,
     parse_dimacs,
@@ -33,7 +32,7 @@ from .frontend import (
     to_dimacs,
 )
 from .primes import decompose
-from .ring import BoolFunc, SizeLimitError, one, set_max_vars, to_anf
+from .ring import BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf
 from .theorems import (
     THEOREM_CAPS,
     verify_resolution,
@@ -108,17 +107,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     func, meta, doc = _load(args)
-    assert isinstance(doc, CnfDoc)
-    ps = cnf_to_primes(doc)
-    expanded_count = 2 ** doc.n - len(ps.indices)
-    if expanded_count != count_models(func):
-        raise AssertionError("expansion disagrees with direct evaluation")
+    ps = decompose(func)
     fields = dict(meta)
     fields.update(
-        n=doc.n,
+        n=func.n,
         clauses_in=len(doc.clauses),
         prime_count=len(ps.indices),
-        model_count=expanded_count,
+        model_count=count_models(func),
         expanded_cnf=prime_cnf_text(ps),
     )
     _emit(fields, args.json)
@@ -275,13 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.max_vars is not None:
-        try:
-            set_max_vars(args.max_vars)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    saved_cap = get_max_vars()
     try:
+        if args.max_vars is not None:
+            set_max_vars(args.max_vars)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -295,6 +287,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the cap is process-wide; an override must not outlive this call
+        set_max_vars(saved_cap)
 
 
 if __name__ == "__main__":

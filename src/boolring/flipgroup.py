@@ -99,10 +99,9 @@ def apply_flip(a: BoolFunc, s: FlipMask | int) -> BoolFunc:
 def pi(s: FlipMask | int, j: Assignment | int, n: int | None = None) -> Assignment:
     """Image of assignment ``j`` under the flip with mask ``s``.
 
-    Evaluated by the closed arithmetic form
-    ``s + j - 2 * sum(2**(r-1) * s_r * j_r)``: subtracting the doubled
-    overlap turns the carry-free part of the sum into the bitwise XOR of
-    mask and index, which is what the tests pin down.
+    The flip negates the variables selected by ``s``, so it toggles those
+    bits of the index: the image is ``s XOR j``.  The paper's arithmetic
+    form ``s + j - 2 * sum(2**(r-1) * s_r * j_r)`` gives the same value.
     """
     if isinstance(s, FlipMask):
         count, s_val = s.n, s.s
@@ -120,10 +119,7 @@ def pi(s: FlipMask | int, j: Assignment | int, n: int | None = None) -> Assignme
         j_val = j
         if not 0 <= j_val < (1 << count):
             raise ValueError(f"assignment index {j_val} outside 0..{(1 << count) - 1}")
-    overlap = 0
-    for r in range(1, count + 1):
-        overlap += (1 << (r - 1)) * ((s_val >> (r - 1)) & 1) * ((j_val >> (r - 1)) & 1)
-    return Assignment(count, s_val + j_val - 2 * overlap)
+    return Assignment(count, s_val ^ j_val)
 
 
 def flip_group_check(n: int, rng: random.Random | None = None) -> Report:

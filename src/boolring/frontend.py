@@ -7,10 +7,11 @@ two styles cannot be mixed).  ``!`` binds tightest, then ``&``, then
 ``|`` and ``^`` at equal strength, then right-associative ``->``.
 Chains mixing ``|`` and ``^`` without parentheses are rejected.
 
-CNF documents land in ``CnfDoc`` and can be expanded clause by clause
-into full-width form: a clause missing one variable doubles into the
-two clauses containing it plain and negated, so a k-literal clause over
-n variables yields exactly 2**(n-k) maxterm indices.
+CNF documents land in ``CnfDoc`` and can be expanded into full-width
+form: a clause missing one variable doubles into the two clauses
+containing it plain and negated, so a k-literal clause over n variables
+yields exactly 2**(n-k) maxterm indices.  The expansion is read off the
+document's truth vector, whose zeros are exactly those maxterms.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .flipgroup import FlipMask, _mask_of
-from .primes import PrimeSet, clause_text, minterm_text
+from .primes import PrimeSet, clause_text, decompose, minterm_text
 from .ring import BoolFunc, check_var_count, one, var, zero
 
 __all__ = [
@@ -465,34 +466,19 @@ def to_dimacs(doc: CnfDoc) -> str:
 def clause_blowup(clause: Iterable[int], n: int) -> PrimeSet:
     """Expand one clause into the maxterm indices of its full-width form.
 
-    Each variable absent from the clause doubles it, once with the
-    variable plain and once negated, until every variable appears; a
-    clause with k literals therefore yields 2**(n-k) indices.
+    A clause with k literals is false on the 2**(n-k) assignments that
+    falsify all of its literals; those are its full-width maxterms.
     """
-    check_var_count(n)
-    base = _normalize_clause(clause, n)
-    found: set[int] = set()
-
-    def widen(cl: tuple[int, ...], present: int) -> None:
-        for r in range(1, n + 1):
-            bit = 1 << (r - 1)
-            if not present & bit:
-                widen(cl + (r,), present | bit)
-                widen(cl + (-r,), present | bit)
-                return
-        # full-width clause: false exactly where its negated variables hold
-        found.add(sum(1 << (abs(lit) - 1) for lit in cl if lit < 0))
-
-    widen(base, sum(1 << (abs(lit) - 1) for lit in base))
-    return PrimeSet(n, frozenset(found))
+    return cnf_to_primes(CnfDoc(n, (tuple(clause),)))
 
 
 def cnf_to_primes(doc: CnfDoc) -> PrimeSet:
-    """Full-width expansion of a whole document: union over its clauses."""
-    found: frozenset[int] = frozenset()
-    for cl in doc.clauses:
-        found |= clause_blowup(cl, doc.n).indices
-    return PrimeSet(doc.n, found)
+    """Full-width expansion of a whole document: the union over its clauses.
+
+    The union is the set of assignments falsifying some clause, which is
+    the maxterm set of the document's truth vector.
+    """
+    return decompose(eval_cnf(doc))
 
 
 def eval_cnf(doc: CnfDoc) -> BoolFunc:

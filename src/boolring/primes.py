@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ring import BoolFunc, check_var_count, one, var, zero, _ones
+from .ring import BoolFunc, check_var_count, one, var, _ones, _pack_bits, _set_bits
 
 __all__ = [
     "PrimeSet",
@@ -107,17 +107,16 @@ def literal_form(n: int, j: int) -> LiteralProduct:
 
 def decompose(a: BoolFunc) -> PrimeSet:
     """Maxterm indices of ``a``: one factor per assignment where it is false."""
-    zeros = frozenset(j for j in range(1 << a.n) if not (a.tt >> j) & 1)
-    return PrimeSet(a.n, zeros)
+    return PrimeSet(a.n, frozenset(_set_bits(a.tt ^ _ones(a.n))))
 
 
 def compose(n: int, indices: PrimeSet | Iterable[int]) -> BoolFunc:
     """Rebuild a function from its maxterm indices.
 
-    The result is computed twice, once as the AND of the listed maxterms
-    and once as the XOR of the complementary minterms, and the two
-    routes are required to agree.  The empty index set gives the
-    constant 1; the full set gives 0.
+    The product of the listed maxterms is false exactly at those
+    assignments, so its truth vector is the all-ones vector with the
+    listed bits cleared.  The empty index set gives the constant 1; the
+    full set gives 0.
     """
     if isinstance(indices, PrimeSet):
         if indices.n != n:
@@ -125,16 +124,7 @@ def compose(n: int, indices: PrimeSet | Iterable[int]) -> BoolFunc:
         index_set = indices.indices
     else:
         index_set = PrimeSet(n, frozenset(indices)).indices
-    product = one(n)
-    for j in sorted(index_set):
-        product = product & prime(n, j)
-    total = zero(n)
-    for j in range(1 << n):
-        if j not in index_set:
-            total = total ^ ~prime(n, j)
-    if product != total:
-        raise AssertionError("maxterm product and minterm sum disagree")
-    return product
+    return BoolFunc(n, _ones(n) ^ _pack_bits(n, index_set))
 
 
 def orthogonal(n: int, j: int, k: int) -> BoolFunc:
@@ -145,20 +135,15 @@ def orthogonal(n: int, j: int, k: int) -> BoolFunc:
 def basis(n: int, r: int) -> BoolFunc:
     """Variable r rebuilt as the XOR of the minterms satisfying it.
 
-    Summing the indicators of every assignment with bit (r - 1) set must
-    reproduce the plain variable vector; the two routes are checked
-    against each other before returning.
+    The minterms are disjoint, so their sum sets exactly the bits of the
+    assignments with bit (r - 1) set.  This route goes through assignment
+    indices, not the block pattern of ``var``; the verification suite
+    compares the two.
     """
     check_var_count(n)
     if not 1 <= r <= n:
         raise ValueError(f"variable index {r} outside 1..{n}")
-    total = zero(n)
-    for i in range(1 << n):
-        if (i >> (r - 1)) & 1:
-            total = total ^ ~prime(n, i)
-    if total != var(n, r):
-        raise AssertionError("minterm sum does not reproduce the variable pattern")
-    return total
+    return BoolFunc(n, _pack_bits(n, (i for i in range(1 << n) if (i >> (r - 1)) & 1)))
 
 
 def _default_names(n: int) -> tuple[str, ...]:

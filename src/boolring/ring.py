@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from typing import Iterable
 
 __all__ = [
     "DEFAULT_MAX_VARS",
@@ -39,6 +41,9 @@ __all__ = [
 DEFAULT_MAX_VARS = 24
 
 _max_vars = DEFAULT_MAX_VARS
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 class SizeLimitError(ValueError):
@@ -140,7 +145,10 @@ class BoolFunc:
 
     @classmethod
     def from_hex(cls, n: int, digits: str) -> BoolFunc:
+        """Inverse of ``to_hex``; ``digits`` may hold hex digits only."""
         check_var_count(n)
+        if set(digits) - _HEX_DIGITS:
+            raise ValueError("hex string may contain only hex digits")
         return cls(n, int(digits, 16))
 
     def __str__(self) -> str:
@@ -224,20 +232,12 @@ class Anf:
         return Anf(self.n, self.monomials ^ other.monomials)
 
     def __and__(self, other: Anf) -> Anf:
-        """Product of polynomials, reduced by idempotence and cancellation."""
+        """Product of polynomials: the polynomial of the pointwise product."""
         if not isinstance(other, Anf):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"mixed variable counts: {self.n} and {other.n}")
-        acc: set[frozenset[int]] = set()
-        for p in self.monomials:
-            for q in other.monomials:
-                m = p | q
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-        return Anf(self.n, frozenset(acc))
+        return to_anf(from_anf(self) & from_anf(other))
 
     def __str__(self) -> str:
         if not self.monomials:
@@ -247,40 +247,48 @@ class Anf:
         return " ⊕ ".join(terms)
 
 
-def to_anf(a: BoolFunc) -> Anf:
-    """Monomials of ``a``, found by the in-place subset-parity transform."""
-    x = a.tt
-    for k in range(a.n):
-        low = _ones(a.n) ^ _var_tt(a.n, k + 1)  # positions with bit k clear
+def _set_bits(x: int) -> list[int]:
+    """Positions of the set bits of ``x`` in ascending order.
+
+    The binary text, reversed so that character i is bit i, becomes a
+    byte string of 0/1 selectors for ``itertools.compress``: one linear
+    pass, and nothing shifts or copies the integer once per bit.
+    """
+    selectors = format(x, "b")[::-1].encode().translate(_BIT_SELECTORS)
+    return list(compress(range(len(selectors)), selectors))
+
+
+def _pack_bits(n: int, positions: Iterable[int]) -> int:
+    """The 2**n-bit integer with exactly the given bits set; inverse of ``_set_bits``."""
+    buf = bytearray(((1 << n) + 7) // 8)
+    for j in positions:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _mobius(n: int, x: int) -> int:
+    """Binary Möbius (subset-parity) transform of a packed vector.
+
+    Bit m of the result is the XOR of bit i of ``x`` over the subsets i of
+    m.  The transform is its own inverse, so it maps truth vectors to
+    monomial masks and back.
+    """
+    for k in range(n):
+        low = _ones(n) ^ _var_tt(n, k + 1)  # positions with bit k clear
         x ^= (x & low) << (1 << k)
-    monos = []
-    while x:
-        lsb = x & -x
-        m = lsb.bit_length() - 1
-        monos.append(frozenset(r + 1 for r in range(a.n) if (m >> r) & 1))
-        x ^= lsb
-    return Anf(a.n, frozenset(monos))
-
-
-@lru_cache(maxsize=65536)
-def _monomial_tt(n: int, mask: int) -> int:
-    # AND of the member variables' vectors; the empty product is constant 1
-    x = _ones(n)
-    r = 1
-    while mask:
-        if mask & 1:
-            x &= _var_tt(n, r)
-        mask >>= 1
-        r += 1
     return x
 
 
+def to_anf(a: BoolFunc) -> Anf:
+    """Monomials of ``a``: the set bits of its Möbius transform."""
+    monos = [
+        frozenset([r + 1 for r in range(a.n) if (m >> r) & 1])
+        for m in _set_bits(_mobius(a.n, a.tt))
+    ]
+    return Anf(a.n, frozenset(monos))
+
+
 def from_anf(p: Anf) -> BoolFunc:
-    """Evaluate the polynomial: XOR together each monomial's AND-product."""
-    x = 0
-    for mono in p.monomials:
-        mask = 0
-        for r in mono:
-            mask |= 1 << (r - 1)
-        x ^= _monomial_tt(p.n, mask)
-    return BoolFunc(p.n, x)
+    """Evaluate the polynomial: set bit m for each monomial mask m, then transform."""
+    masks = (sum(1 << (r - 1) for r in mono) for mono in p.monomials)
+    return BoolFunc(p.n, _mobius(p.n, _pack_bits(p.n, masks)))

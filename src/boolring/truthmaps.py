@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import BoolFunc, SizeLimitError, check_var_count
+from .ring import BoolFunc, SizeLimitError, check_var_count, _set_bits
 
 __all__ = [
     "ADD_TABLE",
@@ -80,7 +80,7 @@ def count_models(a: BoolFunc) -> int:
 
 def satisfying_assignments(a: BoolFunc) -> list[Assignment]:
     """All satisfying assignments in ascending index order."""
-    return [Assignment(a.n, j) for j in range(1 << a.n) if (a.tt >> j) & 1]
+    return [Assignment(a.n, j) for j in _set_bits(a.tt)]
 
 
 @dataclass(frozen=True)

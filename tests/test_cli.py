@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from boolring import DEFAULT_MAX_VARS, set_max_vars
+from boolring import DEFAULT_MAX_VARS, get_max_vars, parse_formula, set_max_vars
 from boolring.cli import main
 
 PREMISE = "c premise\np cnf 3 2\n1 2 0\n-1 3 0\n"
@@ -231,6 +231,17 @@ class TestErrors:
     def test_max_vars_invalid(self, capsys):
         code, _, err = run(capsys, "canon", "--formula", "a1", "--max-vars", "0")
         assert code == 2
+
+    def test_max_vars_override_does_not_leak(self, capsys):
+        code, _, _ = run(capsys, "taut", "--formula", "a1|!a1", "--max-vars", "3")
+        assert code == 0
+        assert get_max_vars() == DEFAULT_MAX_VARS
+        assert parse_formula("a4").n == 4
+
+    def test_max_vars_restored_after_refusal(self, capsys):
+        code, _, _ = run(capsys, "canon", "--formula", "a3", "--max-vars", "2")
+        assert code == 3
+        assert get_max_vars() == DEFAULT_MAX_VARS
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

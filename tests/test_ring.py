@@ -298,3 +298,8 @@ class TestSerialization:
             BoolFunc.from_bits("1")
         with pytest.raises(ValueError):
             BoolFunc.from_bits("10x0")
+
+    @pytest.mark.parametrize("digits", ["0x_ff", " ff ", "f_f", "+ff", "-f", "0xff", "ff\n", "f٣"])
+    def test_from_hex_rejects_non_hex_characters(self, digits):
+        with pytest.raises(ValueError, match="only hex digits"):
+            BoolFunc.from_hex(3, digits)
