@@ -32,7 +32,7 @@ from .frontend import (
     to_dimacs,
 )
 from .primes import decompose
-from .ring import BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf
+from .ring import BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf, _set_bits
 from .theorems import (
     THEOREM_CAPS,
     verify_resolution,
@@ -88,8 +88,8 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         truth_bits=func.to_bits(),
         truth_hex=func.to_hex(),
         anf=str(to_anf(func)),
-        prime_indices=sorted(ps.indices),
-        minterm_indices=sorted(ps.complement()),
+        prime_indices=_set_bits(ps.mask),
+        minterm_indices=_set_bits(func.tt),
     )
     _emit(fields, args.json)
     return 0
@@ -112,7 +112,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     fields.update(
         n=func.n,
         clauses_in=len(doc.clauses),
-        prime_count=len(ps.indices),
+        prime_count=ps.mask.bit_count(),
         model_count=count_models(func),
         expanded_cnf=prime_cnf_text(ps),
     )

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .flipgroup import FlipMask, _mask_of
-from .primes import PrimeSet, clause_text, decompose, minterm_text
-from .ring import BoolFunc, check_var_count, one, var, zero
+from .primes import _CLAUSE, _MINTERM, PrimeSet, decompose, _checked_names
+from .ring import BoolFunc, check_var_count, one, var, zero, _bit_renderer, _ones, _set_bits
 
 __all__ = [
     "FormulaSyntaxError",
@@ -509,14 +509,18 @@ def cnf_flip(doc: CnfDoc, s: FlipMask | int) -> CnfDoc:
 
 def prime_cnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
     """Full conjunctive form, one clause per maxterm index; ``1`` when empty."""
-    if not ps.indices:
+    names = _checked_names(ps.n, names)
+    if not ps.mask:
         return "1"
-    return " ∧ ".join(clause_text(ps.n, j, names) for j in sorted(ps.indices))
+    clause = _bit_renderer(ps.n, *_CLAUSE, names)
+    return "(" + ") ∧ (".join(map(clause, _set_bits(ps.mask))) + ")"
 
 
 def minterm_dnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
     """Full disjunctive form over the satisfying indices; ``0`` when none."""
-    sat = sorted(ps.complement())
+    names = _checked_names(ps.n, names)
+    sat = ps.mask ^ _ones(ps.n)
     if not sat:
         return "0"
-    return " ∨ ".join(minterm_text(ps.n, j, names) for j in sat)
+    minterm = _bit_renderer(ps.n, *_MINTERM, names)
+    return "(" + ") ∨ (".join(map(minterm, _set_bits(sat))) + ")"

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ring import BoolFunc, check_var_count, one, var, _ones, _pack_bits, _set_bits
+from .ring import (
+    BoolFunc, check_var_count, one, var, _bit_renderer, _check_index, _ones, _pack_bits, _set_bits,
+)
 
 __all__ = [
     "PrimeSet",
@@ -29,24 +31,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PrimeSet:
-    """Maxterm indices of a function: the assignments where it is false."""
+    """Maxterm indices of a function: the assignments where it is false.
+
+    ``PrimeSet(n, indices)`` takes the indices as ints in 0..2**n - 1.
+    The value is stored as one 2**n-bit integer, ``mask``, with bit j set
+    for each maxterm index j: the complement of the function's truth
+    vector.  ``indices`` and ``complement()`` are views rebuilt from it.
+    """
 
     n: int
-    indices: frozenset[int]
+    mask: int
 
-    def __post_init__(self) -> None:
-        check_var_count(self.n)
-        canon = frozenset(self.indices)
-        object.__setattr__(self, "indices", canon)
-        for j in canon:
-            if not 0 <= j < (1 << self.n):
-                raise ValueError(f"assignment index {j} outside 0..{(1 << self.n) - 1}")
+    def __init__(self, n: int, indices: Iterable[int]) -> None:
+        check_var_count(n)
+        js = list(indices)
+        for j in js:
+            _check_index(n, j)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", _pack_bits(n, js))
+
+    @classmethod
+    def _of(cls, n: int, mask: int) -> PrimeSet:
+        """The index set with false-mask ``mask``, taken as already valid."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "n", n)
+        object.__setattr__(ps, "mask", mask)
+        return ps
+
+    @property
+    def indices(self) -> frozenset[int]:
+        """The maxterm indices."""
+        return frozenset(_set_bits(self.mask))
 
     def complement(self) -> frozenset[int]:
         """The satisfying assignment indices."""
-        return frozenset(range(1 << self.n)) - self.indices
+        return frozenset(_set_bits(self.mask ^ _ones(self.n)))
 
 
 def prime(n: int, j: int) -> BoolFunc:
@@ -106,8 +127,11 @@ def literal_form(n: int, j: int) -> LiteralProduct:
 
 
 def decompose(a: BoolFunc) -> PrimeSet:
-    """Maxterm indices of ``a``: one factor per assignment where it is false."""
-    return PrimeSet(a.n, frozenset(_set_bits(a.tt ^ _ones(a.n))))
+    """Maxterm indices of ``a``: one factor per assignment where it is false.
+
+    Their mask is the complement of the truth vector, one XOR.
+    """
+    return PrimeSet._of(a.n, a.tt ^ _ones(a.n))
 
 
 def compose(n: int, indices: PrimeSet | Iterable[int]) -> BoolFunc:
@@ -121,10 +145,9 @@ def compose(n: int, indices: PrimeSet | Iterable[int]) -> BoolFunc:
     if isinstance(indices, PrimeSet):
         if indices.n != n:
             raise ValueError(f"index set is for {indices.n} variables, not {n}")
-        index_set = indices.indices
     else:
-        index_set = PrimeSet(n, frozenset(indices)).indices
-    return BoolFunc(n, _ones(n) ^ _pack_bits(n, index_set))
+        indices = PrimeSet(n, indices)
+    return BoolFunc(n, _ones(n) ^ indices.mask)
 
 
 def orthogonal(n: int, j: int, k: int) -> BoolFunc:
@@ -146,29 +169,30 @@ def basis(n: int, r: int) -> BoolFunc:
     return BoolFunc(n, _pack_bits(n, (i for i in range(1 << n) if (i >> (r - 1)) & 1)))
 
 
-def _default_names(n: int) -> tuple[str, ...]:
-    return tuple(f"a{r}" for r in range(1, n + 1))
+def _checked_names(n: int, names: Sequence[str] | None) -> tuple[str, ...] | None:
+    """``names`` as a tuple, or None for the default a1..an."""
+    if names is None:
+        return None
+    names = tuple(names)
+    if len(names) != n:
+        raise ValueError(f"{len(names)} names given for {n} variables")
+    return names
+
+
+# words for a clear and a set bit, and the separator
+_CLAUSE = ("{}", "¬{}", " ∨ ")
+_MINTERM = ("¬{}", "{}", " ∧ ")
 
 
 def clause_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Maxterm j as a full OR-clause, e.g. ``(a1 ∨ ¬a2)``."""
     if not 0 <= j < (1 << n):
         raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
-    names = names or _default_names(n)
-    lits = []
-    for r in range(1, n + 1):
-        name = names[r - 1]
-        lits.append(f"¬{name}" if (j >> (r - 1)) & 1 else name)
-    return "(" + " ∨ ".join(lits) + ")"
+    return "(" + _bit_renderer(n, *_CLAUSE, _checked_names(n, names))(j) + ")"
 
 
 def minterm_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Minterm j as a full AND-term, e.g. ``(¬a1 ∧ a2)``."""
     if not 0 <= j < (1 << n):
         raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
-    names = names or _default_names(n)
-    lits = []
-    for r in range(1, n + 1):
-        name = names[r - 1]
-        lits.append(name if (j >> (r - 1)) & 1 else f"¬{name}")
-    return "(" + " ∧ ".join(lits) + ")"
+    return "(" + _bit_renderer(n, *_MINTERM, _checked_names(n, names))(j) + ")"

@@ -9,7 +9,8 @@ printed most significant bit first.
 Addition is XOR and multiplication is AND.  Under these two operations
 every function has a unique representation as an XOR-sum of
 AND-monomials; ``to_anf`` and ``from_anf`` convert between the packed
-vector and that polynomial.  Values are immutable and compare equal
+vector and that polynomial, itself packed as the 2**n-bit mask of its
+monomials.  Values are immutable and compare equal
 exactly when both the variable count and the truth vector agree.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable
+from typing import Callable, Iterable
 
 __all__ = [
     "DEFAULT_MAX_VARS",
@@ -68,6 +69,14 @@ def check_var_count(n: int) -> None:
         raise TypeError(f"variable count must be an int, got {type(n).__name__}")
     if not 1 <= n <= _max_vars:
         raise SizeLimitError(f"variable count {n} outside 1..{_max_vars}")
+
+
+def _check_index(n: int, j: int) -> None:
+    """Reject anything but an int assignment index in 0..2**n - 1."""
+    if isinstance(j, bool) or not isinstance(j, int):
+        raise TypeError(f"assignment index must be an int, got {type(j).__name__}")
+    if not 0 <= j < (1 << n):
+        raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
 
 
 @lru_cache(maxsize=None)
@@ -203,25 +212,52 @@ def or_(a: BoolFunc, b: BoolFunc) -> BoolFunc:
     return a | b
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Anf:
-    """XOR-of-monomials form: each monomial is a set of variable indices.
+    """XOR-of-monomials form of a function of ``n`` variables.
 
-    The empty monomial stands for the constant 1, and an empty monomial
-    set is the zero function.
+    ``Anf(n, monomials)`` takes each monomial as a set of variable
+    indices; the empty monomial stands for the constant 1, and an empty
+    monomial set is the zero function.  The value is stored as one
+    2**n-bit integer, ``mask``, whose bit m is set when the monomial with
+    variable set m (bit r - 1 for variable r) is present; ``monomials``
+    is a view rebuilt from it.  Values compare equal exactly when ``n``
+    and ``mask`` agree.
     """
 
     n: int
-    monomials: frozenset[frozenset[int]]
+    mask: int
 
-    def __post_init__(self) -> None:
-        check_var_count(self.n)
-        canon = frozenset(frozenset(m) for m in self.monomials)
-        object.__setattr__(self, "monomials", canon)
-        for mono in canon:
+    def __init__(self, n: int, monomials: Iterable[Iterable[int]]) -> None:
+        check_var_count(n)
+        masks = []
+        for mono in monomials:
+            m = 0
             for r in mono:
-                if not 1 <= r <= self.n:
-                    raise ValueError(f"variable index {r} outside 1..{self.n}")
+                if isinstance(r, bool) or not isinstance(r, int):
+                    raise TypeError(f"variable index must be an int, got {type(r).__name__}")
+                if not 1 <= r <= n:
+                    raise ValueError(f"variable index {r} outside 1..{n}")
+                m |= 1 << (r - 1)
+            masks.append(m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", _pack_bits(n, masks))
+
+    @classmethod
+    def _of(cls, n: int, mask: int) -> Anf:
+        """The polynomial with monomial mask ``mask``, taken as already valid."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "mask", mask)
+        return p
+
+    @property
+    def monomials(self) -> frozenset[frozenset[int]]:
+        """The monomials as sets of variable indices."""
+        return frozenset(
+            frozenset([r + 1 for r in range(self.n) if (m >> r) & 1])
+            for m in _set_bits(self.mask)
+        )
 
     def __xor__(self, other: Anf) -> Anf:
         """Sum of polynomials: duplicate monomials cancel in pairs."""
@@ -229,7 +265,7 @@ class Anf:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"mixed variable counts: {self.n} and {other.n}")
-        return Anf(self.n, self.monomials ^ other.monomials)
+        return Anf._of(self.n, self.mask ^ other.mask)
 
     def __and__(self, other: Anf) -> Anf:
         """Product of polynomials: the polynomial of the pointwise product."""
@@ -240,10 +276,22 @@ class Anf:
         return to_anf(from_anf(self) & from_anf(other))
 
     def __str__(self) -> str:
-        if not self.monomials:
+        """Monomials by degree, equal degrees in lexicographic order of
+        their sorted variable lists, e.g. ``1 ⊕ a2 ⊕ a1·a3 ⊕ a2·a3``."""
+        if not self.mask:
             return "0"
-        ordered = sorted(self.monomials, key=lambda m: (len(m), sorted(m)))
-        terms = ["·".join(f"a{r}" for r in sorted(m)) or "1" for m in ordered]
+        # of two monomials of equal degree, the one holding the smallest
+        # variable where they differ comes first: the larger bit-reversed mask
+        size = (self.n + 7) // 8
+        rev = _reversed_bytes()
+        ordered = sorted(
+            _set_bits(self.mask),
+            key=lambda m: (m.bit_count() << (8 * size))
+            - int.from_bytes(m.to_bytes(size, "little").translate(rev), "big"),
+        )
+        terms = list(map(_bit_renderer(self.n, "", "{}", "·"), ordered))
+        if self.mask & 1:
+            terms[0] = "1"  # the empty monomial, first by degree
         return " ⊕ ".join(terms)
 
 
@@ -279,16 +327,49 @@ def _mobius(n: int, x: int) -> int:
     return x
 
 
+@lru_cache(maxsize=64)
+def _bit_renderer(
+    n: int, clear: str, set_: str, sep: str, names: tuple[str, ...] | None = None
+) -> Callable[[int], str]:
+    """Renderer of ints below 2**n as one word per variable, in variable order.
+
+    Variable r reads ``clear.format(name)`` when its bit is clear and
+    ``set_.format(name)`` when it is set, the words joined by ``sep``; an
+    empty ``clear`` leaves a clear variable out.  ``names`` defaults to
+    a1..an.  The text of every bit pattern of variables 1-8, 9-16 and
+    17-n is tabulated once, so each call is three lookups and nothing
+    runs per variable.
+    """
+    if names is None:
+        names = tuple(f"a{r}" for r in range(1, n + 1))
+    tables = []
+    for chunk in (names[:8], names[8:16], names[16:]):
+        table = [""]  # entry b: the chunk's words under the bits of b, each followed by sep
+        for name in chunk:
+            off = clear.format(name) + sep if clear else ""
+            on = set_.format(name) + sep
+            table = [t + off for t in table] + [t + on for t in table]
+        tables.append(tuple(table))
+    t0, t1, t2 = tables
+    cut = -len(sep)
+
+    def render(x: int) -> str:
+        return (t0[x & 255] + t1[(x >> 8) & 255] + t2[x >> 16])[:cut]
+
+    return render
+
+
+@lru_cache(maxsize=None)
+def _reversed_bytes() -> bytes:
+    """Translation table mapping each byte to its bit reversal."""
+    return bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+
+
 def to_anf(a: BoolFunc) -> Anf:
-    """Monomials of ``a``: the set bits of its Möbius transform."""
-    monos = [
-        frozenset([r + 1 for r in range(a.n) if (m >> r) & 1])
-        for m in _set_bits(_mobius(a.n, a.tt))
-    ]
-    return Anf(a.n, frozenset(monos))
+    """The polynomial of ``a``: the Möbius transform of its truth vector."""
+    return Anf._of(a.n, _mobius(a.n, a.tt))
 
 
 def from_anf(p: Anf) -> BoolFunc:
-    """Evaluate the polynomial: set bit m for each monomial mask m, then transform."""
-    masks = (sum(1 << (r - 1) for r in mono) for mono in p.monomials)
-    return BoolFunc(p.n, _mobius(p.n, _pack_bits(p.n, masks)))
+    """The truth vector of ``p``: the Möbius transform of its monomial mask."""
+    return BoolFunc(p.n, _mobius(p.n, p.mask))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import BoolFunc, SizeLimitError, check_var_count, _set_bits
+from .ring import BoolFunc, SizeLimitError, check_var_count, _bit_renderer, _check_index, _set_bits
 
 __all__ = [
     "ADD_TABLE",
@@ -41,8 +41,15 @@ class Assignment:
 
     def __post_init__(self) -> None:
         check_var_count(self.n)
-        if not 0 <= self.index < (1 << self.n):
-            raise ValueError(f"assignment index {self.index} outside 0..{(1 << self.n) - 1}")
+        _check_index(self.n, self.index)
+
+    @classmethod
+    def _of(cls, n: int, index: int) -> Assignment:
+        """Assignment ``index`` of ``n`` variables, taken as already valid."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "n", n)
+        object.__setattr__(a, "index", index)
+        return a
 
     def value(self, r: int) -> int:
         """Truth value given to variable r."""
@@ -54,8 +61,8 @@ class Assignment:
         return tuple(self.value(r) for r in range(1, self.n + 1))
 
     def __str__(self) -> str:
-        vals = " ".join(f"a{r}={self.value(r)}" for r in range(1, self.n + 1))
-        return f"j={self.index}: {vals}"
+        """E.g. ``j=2: a1=0 a2=1``."""
+        return f"j={self.index}: " + _bit_renderer(self.n, "{}=0", "{}=1", " ")(self.index)
 
 
 def _index_of(n: int, j: Assignment | int) -> int:
@@ -80,7 +87,7 @@ def count_models(a: BoolFunc) -> int:
 
 def satisfying_assignments(a: BoolFunc) -> list[Assignment]:
     """All satisfying assignments in ascending index order."""
-    return [Assignment(a.n, j) for j in _set_bits(a.tt)]
+    return [Assignment._of(a.n, j) for j in _set_bits(a.tt)]
 
 
 @dataclass(frozen=True)

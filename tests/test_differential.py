@@ -4,9 +4,10 @@ The library takes one route to each result.  The second routes below
 are the slower, more literal derivations: per-monomial AND-products,
 pairwise monomial multiplication, clause widening one variable at a
 time, maxterm products and minterm sums, the arithmetic form of the
-flip map, and per-bit scans.  Each is compared with the production
-route by exact equality, exhaustively at n <= 3 and with Hypothesis up
-to n = 10.
+flip map, per-bit scans, text rendered one variable at a time, and
+source-level evaluation and flips of CNF documents.  Each is compared
+with the production route by exact equality, exhaustively at small n
+and with Hypothesis and seeded vectors above.
 """
 
 import itertools
@@ -17,16 +18,28 @@ from hypothesis import given, settings, strategies as st
 
 from boolring import (
     Anf,
+    Assignment,
     BoolFunc,
     CnfDoc,
+    PrimeSet,
+    apply_flip,
+    ast_flip,
     clause_blowup,
+    clause_text,
+    cnf_flip,
     cnf_to_primes,
     compose,
     decompose,
+    eval_ast,
+    eval_cnf,
     from_anf,
+    minterm_dnf_text,
+    minterm_text,
     one,
+    parse_formula,
     pi,
     prime,
+    prime_cnf_text,
     satisfying_assignments,
     to_anf,
     to_dimacs,
@@ -134,6 +147,53 @@ def ref_set_bits(x):
     return [i for i in range(x.bit_length()) if (x >> i) & 1]
 
 
+def ref_anf_text(monos):
+    """Monomials ordered by (degree, sorted variable list), one f-string per variable."""
+    if not monos:
+        return "0"
+    ordered = sorted(monos, key=lambda m: (len(m), sorted(m)))
+    terms = ["·".join(f"a{r}" for r in sorted(m)) or "1" for m in ordered]
+    return " ⊕ ".join(terms)
+
+
+def ref_assignment_text(a):
+    vals = " ".join(f"a{r}={a.value(r)}" for r in range(1, a.n + 1))
+    return f"j={a.index}: {vals}"
+
+
+def ref_clause_text(n, j, names=None):
+    names = names or [f"a{r}" for r in range(1, n + 1)]
+    lits = [f"¬{names[r - 1]}" if (j >> (r - 1)) & 1 else names[r - 1] for r in range(1, n + 1)]
+    return "(" + " ∨ ".join(lits) + ")"
+
+
+def ref_minterm_text(n, j, names=None):
+    names = names or [f"a{r}" for r in range(1, n + 1)]
+    lits = [names[r - 1] if (j >> (r - 1)) & 1 else f"¬{names[r - 1]}" for r in range(1, n + 1)]
+    return "(" + " ∧ ".join(lits) + ")"
+
+
+def ref_prime_cnf_text(n, indices, names=None):
+    if not indices:
+        return "1"
+    return " ∧ ".join(ref_clause_text(n, j, names) for j in sorted(indices))
+
+
+def ref_minterm_dnf_text(n, satisfying, names=None):
+    if not satisfying:
+        return "0"
+    return " ∨ ".join(ref_minterm_text(n, j, names) for j in sorted(satisfying))
+
+
+def cnf_formula_text(doc):
+    """The document as formula text: ``(a1 | !a3) & (a2)``, ``1`` without clauses."""
+    def clause(cl):
+        if not cl:
+            return "0"
+        return "(" + " | ".join(f"a{lit}" if lit > 0 else f"!a{-lit}" for lit in cl) + ")"
+    return " & ".join(clause(cl) for cl in doc.clauses) or "1"
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -173,6 +233,15 @@ def cnf_docs(draw, max_n=MAX_N):
 def index_sets(draw, max_n=MAX_N):
     n = draw(sizes(max_n))
     return n, draw(st.frozensets(st.integers(min_value=0, max_value=(1 << n) - 1)))
+
+
+@st.composite
+def name_lists(draw, n):
+    """n distinct names, or None for the defaults; braces check literal use."""
+    if draw(st.booleans()):
+        return None
+    stems = st.sampled_from(["x", "y_", "{}", "{0}", "¬", "long_name"])
+    return [f"{draw(stems)}{r}" for r in range(1, n + 1)]
 
 
 def all_clauses(n):
@@ -339,3 +408,138 @@ class TestSetBits:
     @given(st.integers(min_value=0, max_value=(1 << (1 << MAX_N)) - 1))
     def test_random(self, x):
         assert _set_bits(x) == ref_set_bits(x)
+
+
+# ---------------------------------------------------------------------------
+# packed storage and the table-driven text emitters
+
+TEXT_MAX_N = 12
+# chunk boundaries of the per-byte tables: one, two and three chunks
+BOUNDARY_N = (8, 9, 16, 17, 24)
+
+
+def check_function_texts(f, names=None):
+    anf = to_anf(f)
+    assert str(anf) == ref_anf_text(anf.monomials)
+    falsified = [j for j in range(1 << f.n) if not (f.tt >> j) & 1]
+    satisfied = [j for j in range(1 << f.n) if (f.tt >> j) & 1]
+    ps = decompose(f)
+    assert prime_cnf_text(ps, names) == ref_prime_cnf_text(f.n, falsified, names)
+    assert minterm_dnf_text(ps, names) == ref_minterm_dnf_text(f.n, satisfied, names)
+    got = [str(a) for a in satisfying_assignments(f)]
+    assert got == [ref_assignment_text(Assignment(f.n, j)) for j in satisfied]
+
+
+def check_index_texts(n, j, names=None):
+    assert str(Assignment(n, j)) == ref_assignment_text(Assignment(n, j))
+    assert clause_text(n, j, names) == ref_clause_text(n, j, names)
+    assert minterm_text(n, j, names) == ref_minterm_text(n, j, names)
+
+
+def boundary_positions(n, rng, count=300):
+    """Positions below 2**n: both ends, each side of every chunk boundary,
+    and a seeded sample."""
+    size = 1 << n
+    edges = {0, 1, size - 1, size - 2, 255, 256, 257, (1 << 16) - 1, 1 << 16, (1 << 16) + 1}
+    sample = rng.sample(range(size), min(count, size // 2))
+    return sorted({p for p in edges if p < size} | set(sample))
+
+
+class TestTextEmitters:
+    def test_anf_text_exhaustive_small(self):
+        for n in (1, 2, 3, 4):
+            for t in range(1 << (1 << n)):
+                anf = to_anf(BoolFunc(n, t))
+                assert str(anf) == ref_anf_text(anf.monomials)
+
+    def test_index_texts_exhaustive_small(self):
+        for n in (1, 2, 3, 4):
+            names = [f"v{r}" for r in range(1, n + 1)]
+            for j in range(1 << n):
+                check_index_texts(n, j)
+                check_index_texts(n, j, names)
+
+    def test_function_texts_exhaustive_small(self):
+        for n in (1, 2, 3):
+            for t in range(1 << (1 << n)):
+                check_function_texts(BoolFunc(n, t))
+        rng = random.Random(0x7E47)
+        for t in rng.sample(range(1 << 16), 2000):
+            check_function_texts(BoolFunc(4, t))
+
+    @settings(max_examples=60)
+    @given(funcs(max_n=TEXT_MAX_N).flatmap(lambda f: st.tuples(st.just(f), name_lists(f.n))))
+    def test_function_texts_random(self, case):
+        f, names = case
+        check_function_texts(f, names)
+
+    @given(sizes(TEXT_MAX_N).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1), name_lists(n))))
+    def test_index_texts_random(self, case):
+        check_index_texts(*case)
+
+    @pytest.mark.parametrize("n", BOUNDARY_N)
+    def test_texts_at_chunk_boundaries(self, n):
+        rng = random.Random(n)
+        names = [f"x{r}" for r in range(1, n + 1)]
+        positions = boundary_positions(n, rng)
+        for j in positions:
+            check_index_texts(n, j)
+        check_index_texts(n, positions[-1], names)
+        # sparse polynomial, prime set and model set; the references work
+        # from the positions, so no full-width bit walk runs twice
+        monos = frozenset(monomial_of(m) for m in positions)
+        assert str(Anf(n, monos)) == ref_anf_text(monos)
+        got = prime_cnf_text(PrimeSet(n, positions), names)
+        assert got == ref_prime_cnf_text(n, positions, names)
+        sparse = ~compose(n, positions)
+        assert minterm_dnf_text(decompose(sparse)) == ref_minterm_dnf_text(n, positions)
+        got = [str(a) for a in satisfying_assignments(sparse)]
+        assert got == [ref_assignment_text(Assignment(n, j)) for j in positions]
+
+
+class TestPackedStorage:
+    @given(sizes(8).flatmap(lambda n: st.tuples(
+        st.just(n), st.frozensets(st.frozensets(st.integers(min_value=1, max_value=n))))))
+    def test_monomials_round_trip(self, case):
+        n, monos = case
+        assert Anf(n, monos).monomials == monos
+
+    @given(index_sets())
+    def test_indices_round_trip(self, case):
+        n, idx = case
+        ps = PrimeSet(n, idx)
+        assert ps.indices == idx
+        assert ps.complement() == frozenset(range(1 << n)) - idx
+
+    @given(funcs())
+    def test_constructor_matches_transforms(self, f):
+        anf = to_anf(f)
+        built = Anf(f.n, anf.monomials)
+        assert built == anf and hash(built) == hash(anf)
+        ps = decompose(f)
+        built = PrimeSet(f.n, ps.indices)
+        assert built == ps and hash(built) == hash(ps)
+
+    @given(sizes().flatmap(lambda n: st.tuples(polys(n, 48), polys(n, 48))))
+    def test_sum_is_symmetric_difference(self, pair):
+        p, q = pair
+        assert (p ^ q).monomials == p.monomials ^ q.monomials
+
+
+# ---------------------------------------------------------------------------
+# CNF documents through the formula frontend
+
+
+class TestGeneratedCnf:
+    @settings(max_examples=60)
+    @given(cnf_docs().flatmap(lambda doc: st.tuples(
+        st.just(doc), st.integers(min_value=0, max_value=(1 << doc.n) - 1))))
+    def test_formula_route_matches_cnf_route(self, case):
+        doc, s = case
+        parsed = parse_formula(cnf_formula_text(doc), doc.n)
+        f = eval_cnf(doc)
+        assert eval_ast(parsed) == f
+        flipped = apply_flip(f, s)
+        assert eval_cnf(cnf_flip(doc, s)) == flipped
+        assert eval_ast(ast_flip(parsed, s)) == flipped

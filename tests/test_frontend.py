@@ -438,3 +438,10 @@ class TestEmitters:
     def test_degenerate_forms(self):
         assert prime_cnf_text(PrimeSet(2, frozenset())) == "1"
         assert minterm_dnf_text(PrimeSet(2, frozenset(range(4)))) == "0"
+
+    @pytest.mark.parametrize("names", [(), ("x",), ("x", "y", "z")])
+    @pytest.mark.parametrize("emit", [prime_cnf_text, minterm_dnf_text])
+    @pytest.mark.parametrize("indices", [(), (0, 1, 2, 3)])
+    def test_names_must_match_variable_count(self, emit, names, indices):
+        with pytest.raises(ValueError, match=f"{len(names)} names given for 2 variables"):
+            emit(PrimeSet(2, indices), names)

@@ -121,6 +121,17 @@ class TestDecomposeCompose:
         ps = decompose(var(2, 1))
         assert ps.complement() == {1, 3}
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+    def test_prime_set_rejects_non_int_index(self, index):
+        with pytest.raises(TypeError):
+            PrimeSet(2, {index})
+        with pytest.raises(TypeError):
+            compose(2, [index])
+
+    def test_complement_of_full_and_empty(self):
+        assert PrimeSet(3, range(8)).complement() == frozenset()
+        assert PrimeSet(3, ()).complement() == frozenset(range(8))
+
 
 class TestOrthogonality:
     def test_same_index_keeps_minterm(self):
@@ -191,3 +202,9 @@ class TestTextForms:
 
     def test_custom_names(self):
         assert clause_text(2, 1, names=("x", "y")) == "(¬x ∨ y)"
+
+    @pytest.mark.parametrize("names", [(), ("x",), ("x", "y", "z", "w")])
+    @pytest.mark.parametrize("emit", [clause_text, minterm_text])
+    def test_names_must_match_variable_count(self, emit, names):
+        with pytest.raises(ValueError, match=f"{len(names)} names given for 3 variables"):
+            emit(3, 1, names)

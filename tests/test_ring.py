@@ -273,6 +273,14 @@ class TestAnf:
         with pytest.raises(ValueError):
             Anf(2, frozenset({frozenset({3})}))
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+    def test_rejects_non_int_variable_index(self, index):
+        with pytest.raises(TypeError):
+            Anf(2, [{index}])
+
+    def test_duplicates_collapse_like_sets(self):
+        assert Anf(2, [{1}, (1, 1), [1]]) == Anf(2, [{1}])
+
 
 class TestSerialization:
     def test_bits_round_trip(self):

@@ -43,6 +43,11 @@ class TestAssignment:
         with pytest.raises(ValueError):
             Assignment(2, 1).value(3)
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+    def test_rejects_non_int_index(self, index):
+        with pytest.raises(TypeError):
+            Assignment(2, index)
+
 
 class TestEval:
     def test_examples(self):
