@@ -19,9 +19,7 @@ from typing import Any, Callable, Sequence
 from .flipgroup import FlipMask, GROUP_CHECK_LIMIT, apply_flip, flip_group_check
 from .frontend import (
     CnfDoc,
-    DimacsError,
     Formula,
-    FormulaSyntaxError,
     ast_flip,
     cnf_flip,
     eval_ast,
@@ -46,7 +44,7 @@ from .truthmaps import count_models, satisfying_assignments
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -151,38 +149,30 @@ def _cmd_flip(args: argparse.Namespace) -> int:
     return 0 if fields["counts_equal"] else 1
 
 
-_CHECKS: dict[str, tuple[int | None, Callable[[int], Any]]] = {
-    "TI": (THEOREM_CAPS["TI"], lambda n: verify_ti(n)),
-    "TII+TIII": (THEOREM_CAPS["TII+TIII"], lambda n: verify_tii_tiii(n)),
-    "TIV": (THEOREM_CAPS["TIV"], lambda n: verify_tiv(n)),
-    "TV": (THEOREM_CAPS["TV"], lambda n: verify_tv(n)),
-    "flip-group": (GROUP_CHECK_LIMIT, lambda n: flip_group_check(n)),
-    "resolution": (None, lambda n: verify_resolution()),
+# each check: its argparse dest, its cap on --n (None: the check ignores --n), its function
+_CHECKS: dict[str, tuple[str, int | None, Callable[[int], Any]]] = {
+    "TI": ("ti", THEOREM_CAPS["TI"], verify_ti),
+    "TII+TIII": ("tii", THEOREM_CAPS["TII+TIII"], verify_tii_tiii),
+    "TIV": ("tiv", THEOREM_CAPS["TIV"], verify_tiv),
+    "TV": ("tv", THEOREM_CAPS["TV"], verify_tv),
+    "flip-group": ("flip_group", GROUP_CHECK_LIMIT, flip_group_check),
+    "resolution": ("resolution", None, lambda n: verify_resolution()),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    selected = []
-    if args.all or args.ti:
-        selected.append("TI")
-    if args.all or args.tii:
-        selected.append("TII+TIII")
-    if args.all or args.tiv:
-        selected.append("TIV")
-    if args.all or args.tv:
-        selected.append("TV")
-    if args.all or args.flip_group:
-        selected.append("flip-group")
-    if args.all or args.resolution:
-        selected.append("resolution")
+    selected = [
+        (name, cap, check)
+        for name, (dest, cap, check) in _CHECKS.items()
+        if args.all or getattr(args, dest)
+    ]
     if not selected:
         raise _UsageError("select at least one check (or use --all)")
     n = args.n
-    for name in selected:
-        cap, _ = _CHECKS[name]
+    for name, cap, _ in selected:
         if cap is not None and n > cap:
             raise SizeLimitError(f"{name} is capped at n <= {cap}; drop it or lower --n")
-    reports = [_CHECKS[name][1](n) for name in selected]
+    reports = [check(n) for _, _, check in selected]
     all_passed = all(r.passed for r in reports)
     if args.json:
         payload = {
@@ -275,12 +265,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.max_vars is not None:
             set_max_vars(args.max_vars)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormulaSyntaxError, DimacsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SizeLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .primes import prime
 from .report import Checker, Report
-from .ring import BoolFunc, SizeLimitError, check_var_count, _ones, _var_tt
-from .truthmaps import Assignment, count_models
+from .ring import BoolFunc, check_var_count, _check_cap, _check_index, _check_var, _ones, _var_tt
+from .truthmaps import Assignment, count_models, _index_of
 
 __all__ = [
     "GROUP_CHECK_LIMIT",
@@ -38,8 +38,7 @@ class FlipMask:
 
     def __post_init__(self) -> None:
         check_var_count(self.n)
-        if not 0 <= self.s < (1 << self.n):
-            raise ValueError(f"flip mask {self.s} outside 0..{(1 << self.n) - 1}")
+        _check_index(self.n, self.s, "flip mask")
 
     def variables(self) -> tuple[int, ...]:
         """Indices of the flipped variables."""
@@ -47,20 +46,23 @@ class FlipMask:
 
     @classmethod
     def parse(cls, text: str, n: int) -> FlipMask:
-        """Read a mask from a decimal string or a variable list like ``a1,a3``."""
+        """Read a mask from a decimal string or a variable list like ``a1,a3``.
+
+        Digits are ASCII only: ``str.isdigit`` alone would also take other
+        scripts' digits and superscripts.
+        """
         stripped = text.strip()
         if not stripped:
             raise ValueError("empty flip mask")
-        if stripped.isdigit():
+        if stripped.isascii() and stripped.isdigit():
             return cls(n, int(stripped))
         s = 0
         for item in stripped.split(","):
             item = item.strip()
-            if not (item.startswith("a") and item[1:].isdigit()):
+            if not (item.startswith("a") and item.isascii() and item[1:].isdigit()):
                 raise ValueError(f"flip mask entries must look like a3, got {item!r}")
             r = int(item[1:])
-            if not 1 <= r <= n:
-                raise ValueError(f"variable index {r} outside 1..{n}")
+            _check_var(n, r)
             s |= 1 << (r - 1)
         return cls(n, s)
 
@@ -73,8 +75,7 @@ def _mask_of(n: int, s: FlipMask | int) -> int:
         if s.n != n:
             raise ValueError(f"flip mask is over {s.n} variables, function over {n}")
         return s.s
-    if not 0 <= s < (1 << n):
-        raise ValueError(f"flip mask {s} outside 0..{(1 << n) - 1}")
+    _check_index(n, s, "flip mask")
     return s
 
 
@@ -102,24 +103,19 @@ def pi(s: FlipMask | int, j: Assignment | int, n: int | None = None) -> Assignme
     The flip negates the variables selected by ``s``, so it toggles those
     bits of the index: the image is ``s XOR j``.  The paper's arithmetic
     form ``s + j - 2 * sum(2**(r-1) * s_r * j_r)`` gives the same value.
+    The variable count is ``n`` when given, else that of the ``FlipMask``,
+    else that of the ``Assignment``; a ``FlipMask`` or ``Assignment`` over
+    another count is refused.
     """
-    if isinstance(s, FlipMask):
-        count, s_val = s.n, s.s
+    if n is not None:
+        check_var_count(n)  # before the range checks shift by it
+    elif isinstance(s, FlipMask):
+        n = s.n
+    elif isinstance(j, Assignment):
+        n = j.n
     else:
-        count, s_val = n if n is not None else getattr(j, "n", None), s
-    if count is None:
         raise ValueError("variable count required when both arguments are plain ints")
-    if not isinstance(s, FlipMask):
-        s_val = _mask_of(count, s)
-    if isinstance(j, Assignment):
-        if j.n != count:
-            raise ValueError(f"assignment is over {j.n} variables, mask over {count}")
-        j_val = j.index
-    else:
-        j_val = j
-        if not 0 <= j_val < (1 << count):
-            raise ValueError(f"assignment index {j_val} outside 0..{(1 << count) - 1}")
-    return Assignment(count, s_val ^ j_val)
+    return Assignment._of(n, _mask_of(n, s) ^ _index_of(n, j))
 
 
 def flip_group_check(n: int, rng: random.Random | None = None) -> Report:
@@ -130,9 +126,7 @@ def flip_group_check(n: int, rng: random.Random | None = None) -> Report:
     assignment indices.  Exhaustive over the whole function space for
     n <= 3, seeded random samples above that.
     """
-    check_var_count(n)
-    if n > GROUP_CHECK_LIMIT:
-        raise SizeLimitError(f"group check is capped at n <= {GROUP_CHECK_LIMIT}")
+    _check_cap(n, GROUP_CHECK_LIMIT, "group check")
     started = time.perf_counter()
     chk = Checker()
     size = 1 << n

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ring import (
-    BoolFunc, check_var_count, one, var, _bit_renderer, _check_index, _ones, _pack_bits, _set_bits,
+    BoolFunc, check_var_count, one, var, _bit_renderer, _check_index, _check_var, _ones, _pack_bits,
+    _set_bits,
 )
 
 __all__ = [
@@ -73,8 +74,7 @@ class PrimeSet:
 def prime(n: int, j: int) -> BoolFunc:
     """Maxterm j: the function that is false at assignment j, true elsewhere."""
     check_var_count(n)
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
+    _check_index(n, j)
     return BoolFunc(n, _ones(n) ^ (1 << j))
 
 
@@ -121,8 +121,7 @@ def literal_form(n: int, j: int) -> LiteralProduct:
     negated maxterm ~prime(n, j).
     """
     check_var_count(n)
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
+    _check_index(n, j)
     return LiteralProduct(n, tuple(bool((j >> (r - 1)) & 1) for r in range(1, n + 1)))
 
 
@@ -164,8 +163,7 @@ def basis(n: int, r: int) -> BoolFunc:
     compares the two.
     """
     check_var_count(n)
-    if not 1 <= r <= n:
-        raise ValueError(f"variable index {r} outside 1..{n}")
+    _check_var(n, r)
     return BoolFunc(n, _pack_bits(n, (i for i in range(1 << n) if (i >> (r - 1)) & 1)))
 
 
@@ -184,15 +182,20 @@ _CLAUSE = ("{}", "¬{}", " ∨ ")
 _MINTERM = ("¬{}", "{}", " ∧ ")
 
 
+def _index_text(
+    n: int, j: int, style: tuple[str, str, str], names: Sequence[str] | None
+) -> str:
+    """Assignment index j in ``style``, one word per variable, in parentheses."""
+    check_var_count(n)
+    _check_index(n, j)
+    return "(" + _bit_renderer(n, *style, _checked_names(n, names))(j) + ")"
+
+
 def clause_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Maxterm j as a full OR-clause, e.g. ``(a1 ∨ ¬a2)``."""
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
-    return "(" + _bit_renderer(n, *_CLAUSE, _checked_names(n, names))(j) + ")"
+    return _index_text(n, j, _CLAUSE, names)
 
 
 def minterm_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Minterm j as a full AND-term, e.g. ``(¬a1 ∧ a2)``."""
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
-    return "(" + _bit_renderer(n, *_MINTERM, _checked_names(n, names))(j) + ")"
+    return _index_text(n, j, _MINTERM, names)

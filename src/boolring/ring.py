@@ -63,20 +63,39 @@ def set_max_vars(limit: int) -> None:
     _max_vars = limit
 
 
+# The argument rules of the whole package: a bool or a non-int raises
+# TypeError, an int out of range ValueError, a count above a cap SizeLimitError.
+
+
 def check_var_count(n: int) -> None:
     """Reject variable counts outside 1..max_vars."""
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"variable count must be an int, got {type(n).__name__}")
     if not 1 <= n <= _max_vars:
         raise SizeLimitError(f"variable count {n} outside 1..{_max_vars}")
 
 
-def _check_index(n: int, j: int) -> None:
-    """Reject anything but an int assignment index in 0..2**n - 1."""
+def _check_index(n: int, j: int, what: str = "assignment index") -> None:
+    """Reject anything but an int in 0..2**n - 1; ``what`` labels the messages."""
     if isinstance(j, bool) or not isinstance(j, int):
-        raise TypeError(f"assignment index must be an int, got {type(j).__name__}")
+        raise TypeError(f"{what} must be an int, got {type(j).__name__}")
     if not 0 <= j < (1 << n):
-        raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
+        raise ValueError(f"{what} {j} outside 0..{(1 << n) - 1}")
+
+
+def _check_var(n: int, r: int) -> None:
+    """Reject anything but an int variable index in 1..n."""
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise TypeError(f"variable index must be an int, got {type(r).__name__}")
+    if not 1 <= r <= n:
+        raise ValueError(f"variable index {r} outside 1..{n}")
+
+
+def _check_cap(n: int, cap: int, what: str) -> None:
+    """Reject variable counts above a check's own cap ``cap``."""
+    check_var_count(n)
+    if n > cap:
+        raise SizeLimitError(f"{what} is capped at n <= {cap}")
 
 
 @lru_cache(maxsize=None)
@@ -124,11 +143,11 @@ class BoolFunc:
         return BoolFunc(self.n, self.tt & other.tt)
 
     def __or__(self, other: BoolFunc) -> BoolFunc:
-        """Disjunction through the ring: a + b + a*b."""
+        """Disjunction: pointwise OR, which equals the ring form a + b + a*b."""
         if not isinstance(other, BoolFunc):
             return NotImplemented
         _require_same_n(self, other)
-        return BoolFunc(self.n, self.tt ^ other.tt ^ (self.tt & other.tt))
+        return BoolFunc(self.n, self.tt | other.tt)
 
     def __invert__(self) -> BoolFunc:
         """Complement: a + 1."""
@@ -167,7 +186,7 @@ class BoolFunc:
         return f"BoolFunc(n={self.n}, tt=0x{self.to_hex()})"
 
 
-def _require_same_n(a: BoolFunc, b: BoolFunc) -> None:
+def _require_same_n(a: BoolFunc | Anf, b: BoolFunc | Anf) -> None:
     if a.n != b.n:
         raise ValueError(f"mixed variable counts: {a.n} and {b.n}")
 
@@ -187,8 +206,7 @@ def one(n: int) -> BoolFunc:
 def var(n: int, r: int) -> BoolFunc:
     """The function of variable r alone: bit j of the vector is bit r-1 of j."""
     check_var_count(n)
-    if not 1 <= r <= n:
-        raise ValueError(f"variable index {r} outside 1..{n}")
+    _check_var(n, r)
     return BoolFunc(n, _var_tt(n, r))
 
 
@@ -234,10 +252,7 @@ class Anf:
         for mono in monomials:
             m = 0
             for r in mono:
-                if isinstance(r, bool) or not isinstance(r, int):
-                    raise TypeError(f"variable index must be an int, got {type(r).__name__}")
-                if not 1 <= r <= n:
-                    raise ValueError(f"variable index {r} outside 1..{n}")
+                _check_var(n, r)
                 m |= 1 << (r - 1)
             masks.append(m)
         object.__setattr__(self, "n", n)
@@ -263,16 +278,14 @@ class Anf:
         """Sum of polynomials: duplicate monomials cancel in pairs."""
         if not isinstance(other, Anf):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"mixed variable counts: {self.n} and {other.n}")
+        _require_same_n(self, other)
         return Anf._of(self.n, self.mask ^ other.mask)
 
     def __and__(self, other: Anf) -> Anf:
         """Product of polynomials: the polynomial of the pointwise product."""
         if not isinstance(other, Anf):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"mixed variable counts: {self.n} and {other.n}")
+        _require_same_n(self, other)
         return to_anf(from_anf(self) & from_anf(other))
 
     def __str__(self) -> str:

@@ -29,7 +29,7 @@ import time
 
 from .primes import basis, compose, decompose, prime
 from .report import Checker, Report
-from .ring import BoolFunc, SizeLimitError, check_var_count, one, var, zero
+from .ring import BoolFunc, one, var, zero, _check_cap
 from .truthmaps import count_models, enumerate_allowed_maps, eval_at
 
 __all__ = [
@@ -54,9 +54,7 @@ def verify_ti(n: int, rng: random.Random | None = None) -> Report:
     uniquely into a pair drawn from the two.  All nontrivial s are
     tried for n <= 2; sixteen seeded-random choices for n = 3.
     """
-    check_var_count(n)
-    if n > THEOREM_CAPS["TI"]:
-        raise SizeLimitError(f"TI enumeration is capped at n <= {THEOREM_CAPS['TI']}")
+    _check_cap(n, THEOREM_CAPS["TI"], "TI enumeration")
     started = time.perf_counter()
     chk = Checker()
     size = 1 << (1 << n)
@@ -102,11 +100,7 @@ def verify_tii_tiii(n: int) -> Report:
     exactly the 2**n maxterms; composing every index subset and
     decomposing every function must be mutually inverse bijections.
     """
-    check_var_count(n)
-    if n > THEOREM_CAPS["TII+TIII"]:
-        raise SizeLimitError(
-            f"prime scan is capped at n <= {THEOREM_CAPS['TII+TIII']}"
-        )
+    _check_cap(n, THEOREM_CAPS["TII+TIII"], "prime scan")
     started = time.perf_counter()
     chk = Checker()
     size = 1 << n
@@ -138,9 +132,7 @@ def verify_tii_tiii(n: int) -> Report:
 
 def verify_tiv(n: int) -> Report:
     """The exhaustive map search finds exactly the per-assignment evaluations."""
-    check_var_count(n)
-    if n > THEOREM_CAPS["TIV"]:
-        raise SizeLimitError(f"allowed-map search is capped at n <= {THEOREM_CAPS['TIV']}")
+    _check_cap(n, THEOREM_CAPS["TIV"], "allowed-map search")
     started = time.perf_counter()
     chk = Checker()
     table = enumerate_allowed_maps(n)
@@ -167,9 +159,7 @@ def verify_tv(n: int) -> Report:
     generating set is checked to produce the same minterms in a
     different order.
     """
-    check_var_count(n)
-    if n > THEOREM_CAPS["TV"]:
-        raise SizeLimitError(f"basis check is capped at n <= {THEOREM_CAPS['TV']}")
+    _check_cap(n, THEOREM_CAPS["TV"], "basis check")
     started = time.perf_counter()
     chk = Checker()
     size = 1 << n

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import BoolFunc, SizeLimitError, check_var_count, _bit_renderer, _check_index, _set_bits
+from .ring import (
+    BoolFunc, check_var_count, _bit_renderer, _check_cap, _check_index, _check_var, _set_bits,
+)
 
 __all__ = [
     "ADD_TABLE",
@@ -53,8 +55,7 @@ class Assignment:
 
     def value(self, r: int) -> int:
         """Truth value given to variable r."""
-        if not 1 <= r <= self.n:
-            raise ValueError(f"variable index {r} outside 1..{self.n}")
+        _check_var(self.n, r)
         return (self.index >> (r - 1)) & 1
 
     def values(self) -> tuple[int, ...]:
@@ -70,8 +71,7 @@ def _index_of(n: int, j: Assignment | int) -> int:
         if j.n != n:
             raise ValueError(f"assignment is over {j.n} variables, function over {n}")
         return j.index
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"assignment index {j} outside 0..{(1 << n) - 1}")
+    _check_index(n, j)
     return j
 
 
@@ -113,9 +113,7 @@ def enumerate_allowed_maps(n: int) -> AllowedMapTable:
     Deliberately brute force: the scan is a verification oracle, not a
     production path, which is why it is capped at n <= 2.
     """
-    check_var_count(n)
-    if n > 2:
-        raise SizeLimitError("exhaustive map search is capped at n <= 2")
+    _check_cap(n, 2, "exhaustive map search")
     size = 1 << (1 << n)  # number of functions over n variables
     # the adopted normalization pins the constants: 0 maps to 0, 1 maps to 1
     # (without it the everywhere-zero map would also survive the scan)

@@ -63,6 +63,9 @@ class TestFlipMask:
             FlipMask.parse("a4", 3)
         with pytest.raises(ValueError):
             FlipMask.parse("8", 3)
+        for text in ("٣", "a٣", "²"):
+            with pytest.raises(ValueError, match="flip mask entries must look like a3"):
+                FlipMask.parse(text, 3)
 
     def test_range_checked(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,7 @@ class TestOperations:
             hi = (1 << (1 << n)) - 1
             a, b = BoolFunc(n, rng.randint(0, hi)), BoolFunc(n, rng.randint(0, hi))
             assert or_(a, b).tt == a.tt | b.tt
+            assert or_(a, b) == add(add(a, b), mul(a, b))
 
     def test_de_morgan(self):
         a, b = var(3, 1), var(3, 2)
