@@ -22,7 +22,9 @@ from typing import Iterable, Sequence
 
 from .flipgroup import FlipMask, _mask_of
 from .primes import _CLAUSE, _MINTERM, PrimeSet, decompose, _checked_names
-from .ring import BoolFunc, check_var_count, one, var, zero, _bit_renderer, _ones, _set_bits
+from .ring import (
+    BoolFunc, check_var_count, _bit_renderer, _check_var, _ones, _set_bits, _var_tt,
+)
 
 __all__ = [
     "FormulaSyntaxError",
@@ -316,26 +318,32 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
 
 
 def eval_ast(f: Formula) -> BoolFunc:
-    """Truth vector of a parsed formula, built through the ring operations."""
-    return _eval_node(f.root, f.n)
+    """Truth vector of a parsed formula.
+
+    The ring operations run on the packed ints themselves; one checked
+    ``BoolFunc`` is built from the result.
+    """
+    check_var_count(f.n)
+    return BoolFunc(f.n, _eval_node(f.root, f.n, _ones(f.n)))
 
 
-def _eval_node(node: Node, n: int) -> BoolFunc:
+def _eval_node(node: Node, n: int, ones: int) -> int:
     match node:
         case Const(value=v):
-            return one(n) if v else zero(n)
+            return ones if v else 0
         case Var(index=r):
-            return var(n, r)
+            _check_var(n, r)
+            return _var_tt(n, r)
         case Not(arg=x):
-            return ~_eval_node(x, n)
+            return ones ^ _eval_node(x, n, ones)
         case And(lhs=p, rhs=q):
-            return _eval_node(p, n) & _eval_node(q, n)
+            return _eval_node(p, n, ones) & _eval_node(q, n, ones)
         case Or(lhs=p, rhs=q):
-            return _eval_node(p, n) | _eval_node(q, n)
+            return _eval_node(p, n, ones) | _eval_node(q, n, ones)
         case Xor(lhs=p, rhs=q):
-            return _eval_node(p, n) ^ _eval_node(q, n)
+            return _eval_node(p, n, ones) ^ _eval_node(q, n, ones)
         case Implies(lhs=p, rhs=q):
-            return ~_eval_node(p, n) | _eval_node(q, n)
+            return (ones ^ _eval_node(p, n, ones)) | _eval_node(q, n, ones)
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -392,7 +400,7 @@ class CnfDoc:
 def _normalize_clause(lits: Iterable[int], n: int) -> tuple[int, ...]:
     seen: dict[int, int] = {}
     for lit in lits:
-        if not isinstance(lit, int) or lit == 0:
+        if isinstance(lit, bool) or not isinstance(lit, int) or lit == 0:
             raise DimacsError(f"literal {lit!r} is not a nonzero integer")
         v = abs(lit)
         if v > n:
@@ -482,15 +490,17 @@ def cnf_to_primes(doc: CnfDoc) -> PrimeSet:
 
 
 def eval_cnf(doc: CnfDoc) -> BoolFunc:
-    """Truth vector of a document, built through the ring operations."""
-    acc = one(doc.n)
+    """Truth vector of a document: the AND of its clauses, each the OR of
+    its literal vectors, computed on the packed ints themselves."""
+    n = doc.n
+    ones = _ones(n)
+    acc = ones
     for cl in doc.clauses:
-        cur = zero(doc.n)
+        cur = 0
         for lit in cl:
-            v = var(doc.n, abs(lit))
-            cur = cur | (v if lit > 0 else ~v)
-        acc = acc & cur
-    return acc
+            cur |= _var_tt(n, lit) if lit > 0 else ones ^ _var_tt(n, -lit)
+        acc &= cur
+    return BoolFunc(n, acc)
 
 
 def cnf_flip(doc: CnfDoc, s: FlipMask | int) -> CnfDoc:

@@ -89,6 +89,9 @@ class LiteralProduct:
         check_var_count(self.n)
         if len(self.polarities) != self.n:
             raise ValueError("exactly one polarity per variable is required")
+        for positive in self.polarities:
+            if not isinstance(positive, bool):
+                raise TypeError(f"polarity must be a bool, got {type(positive).__name__}")
 
     def index(self) -> int:
         """The unique assignment satisfying the product."""

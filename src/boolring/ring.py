@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from typing import Callable, Iterable
+from itertools import chain, compress
+from typing import Callable, Iterable, TypeVar
 
 __all__ = [
     "DEFAULT_MAX_VARS",
@@ -46,6 +46,8 @@ _max_vars = DEFAULT_MAX_VARS
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
+_T = TypeVar("_T")
+
 
 class SizeLimitError(ValueError):
     """An operation would exceed a configured size cap."""
@@ -58,6 +60,8 @@ def get_max_vars() -> int:
 def set_max_vars(limit: int) -> None:
     """Change the process-wide variable cap (truth vectors hold 2**n bits)."""
     global _max_vars
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise TypeError(f"variable cap must be an int, got {type(limit).__name__}")
     if limit < 1:
         raise ValueError(f"variable cap must be at least 1, got {limit}")
     _max_vars = limit
@@ -125,7 +129,9 @@ class BoolFunc:
 
     def __post_init__(self) -> None:
         check_var_count(self.n)
-        if not isinstance(self.tt, int) or not 0 <= self.tt <= _ones(self.n):
+        if isinstance(self.tt, bool) or not isinstance(self.tt, int):
+            raise TypeError(f"truth vector must be an int, got {type(self.tt).__name__}")
+        if not 0 <= self.tt <= _ones(self.n):
             raise ValueError(f"truth vector must fit in {1 << self.n} bits")
 
     def __xor__(self, other: BoolFunc) -> BoolFunc:
@@ -269,9 +275,9 @@ class Anf:
     @property
     def monomials(self) -> frozenset[frozenset[int]]:
         """The monomials as sets of variable indices."""
+        t0, t1, t2 = _var_tuples(self.n)
         return frozenset(
-            frozenset([r + 1 for r in range(self.n) if (m >> r) & 1])
-            for m in _set_bits(self.mask)
+            [frozenset(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16]) for m in _set_bits(self.mask)]
         )
 
     def __xor__(self, other: Anf) -> Anf:
@@ -293,14 +299,9 @@ class Anf:
         their sorted variable lists, e.g. ``1 ⊕ a2 ⊕ a1·a3 ⊕ a2·a3``."""
         if not self.mask:
             return "0"
-        # of two monomials of equal degree, the one holding the smallest
-        # variable where they differ comes first: the larger bit-reversed mask
-        size = (self.n + 7) // 8
-        rev = _reversed_bytes()
+        k0, k1, k2 = _degree_keys(self.n)
         ordered = sorted(
-            _set_bits(self.mask),
-            key=lambda m: (m.bit_count() << (8 * size))
-            - int.from_bytes(m.to_bytes(size, "little").translate(rev), "big"),
+            _set_bits(self.mask), key=lambda m: k0[m & 255] + k1[m >> 8 & 255] + k2[m >> 16]
         )
         terms = list(map(_bit_renderer(self.n, "", "{}", "·"), ordered))
         if self.mask & 1:
@@ -311,12 +312,29 @@ class Anf:
 def _set_bits(x: int) -> list[int]:
     """Positions of the set bits of ``x`` in ascending order.
 
-    The binary text, reversed so that character i is bit i, becomes a
-    byte string of 0/1 selectors for ``itertools.compress``: one linear
-    pass, and nothing shifts or copies the integer once per bit.
+    The 64-bit words of ``x`` that hold a set bit are found at C speed.
+    When they are at most half of all words, only their bits are walked,
+    so a sparse vector costs a pass over its words plus 64 steps per
+    nonzero word; otherwise every bit is walked.  Either walk turns the
+    binary text, reversed so that character i is bit i, into 0/1
+    selectors for ``itertools.compress``, and nothing shifts or copies
+    the integer once per bit.
     """
-    selectors = format(x, "b")[::-1].encode().translate(_BIT_SELECTORS)
-    return list(compress(range(len(selectors)), selectors))
+    words = (x.bit_length() + 63) >> 6
+    buf = x.to_bytes(words << 3, "little")
+    nonzero = list(compress(range(words), memoryview(buf).cast("Q")))
+    if 2 * len(nonzero) > words:
+        return list(compress(range(words << 6), _bit_selectors(x, words << 6)))
+    packed = b"".join([buf[i << 3 : (i + 1) << 3] for i in nonzero])
+    starts = [i << 6 for i in nonzero]
+    slots = chain.from_iterable(map(range, starts, map((64).__add__, starts)))
+    selectors = _bit_selectors(int.from_bytes(packed, "little"), len(packed) << 3)
+    return list(compress(slots, selectors))
+
+
+def _bit_selectors(x: int, width: int) -> bytes:
+    """Bits 0..width - 1 of ``x`` as 0/1 bytes, bit i at offset i."""
+    return format(x, f"0{width}b")[::-1].encode().translate(_BIT_SELECTORS)
 
 
 def _pack_bits(n: int, positions: Iterable[int]) -> int:
@@ -340,6 +358,46 @@ def _mobius(n: int, x: int) -> int:
     return x
 
 
+def _chunk_tables(
+    n: int, clear: Callable[[int], _T], set_: Callable[[int], _T]
+) -> list[tuple[_T, ...]]:
+    """Per-byte tables for variables 1-8, 9-16 and 17-n.
+
+    Entry b of a chunk's table sums, in variable order, ``set_(r)`` over
+    the chunk's variables r whose bit is set in b and ``clear(r)`` over
+    the others; the values are strings, tuples or ints.  A function of
+    x < 2**n that is such a sum is then three lookups:
+    ``t0[x & 255] + t1[x >> 8 & 255] + t2[x >> 16]``.
+    """
+    tables = []
+    for lo, hi in ((1, 9), (9, 17), (17, n + 1)):
+        table = [type(set_(1))()]  # the empty sum: "", () or 0
+        for r in range(lo, min(hi, n + 1)):
+            off, on = clear(r), set_(r)
+            table = [t + off for t in table] + [t + on for t in table]
+        tables.append(tuple(table))
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _var_tuples(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Chunk tables of the variable indices set in each bit pattern."""
+    return _chunk_tables(n, lambda r: (), lambda r: (r,))
+
+
+@lru_cache(maxsize=None)
+def _degree_keys(n: int) -> list[tuple[int, ...]]:
+    """Chunk tables of the sort key of ``str(Anf)``.
+
+    The key of a monomial mask m is its degree times 2**n minus its
+    bit reversal over n bits.  Monomials then sort by degree, and of two
+    of equal degree the one holding the smallest variable where they
+    differ comes first.  The key is a sum over the set bits, so it
+    tabulates per byte.
+    """
+    return _chunk_tables(n, lambda r: 0, lambda r: (1 << n) - (1 << (n - r)))
+
+
 @lru_cache(maxsize=64)
 def _bit_renderer(
     n: int, clear: str, set_: str, sep: str, names: tuple[str, ...] | None = None
@@ -355,27 +413,18 @@ def _bit_renderer(
     """
     if names is None:
         names = tuple(f"a{r}" for r in range(1, n + 1))
-    tables = []
-    for chunk in (names[:8], names[8:16], names[16:]):
-        table = [""]  # entry b: the chunk's words under the bits of b, each followed by sep
-        for name in chunk:
-            off = clear.format(name) + sep if clear else ""
-            on = set_.format(name) + sep
-            table = [t + off for t in table] + [t + on for t in table]
-        tables.append(tuple(table))
-    t0, t1, t2 = tables
+    # entry b: the chunk's words under the bits of b, each followed by sep
+    t0, t1, t2 = _chunk_tables(
+        n,
+        lambda r: clear.format(names[r - 1]) + sep if clear else "",
+        lambda r: set_.format(names[r - 1]) + sep,
+    )
     cut = -len(sep)
 
     def render(x: int) -> str:
         return (t0[x & 255] + t1[(x >> 8) & 255] + t2[x >> 16])[:cut]
 
     return render
-
-
-@lru_cache(maxsize=None)
-def _reversed_bytes() -> bytes:
-    """Translation table mapping each byte to its bit reversal."""
-    return bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 
 def to_anf(a: BoolFunc) -> Anf:

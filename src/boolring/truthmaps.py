@@ -9,10 +9,12 @@ through ``ADD_TABLE`` and products through ``MUL_TABLE``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .ring import (
-    BoolFunc, check_var_count, _bit_renderer, _check_cap, _check_index, _check_var, _set_bits,
+    BoolFunc, check_var_count, _check_cap, _check_index, _check_var, _chunk_tables, _set_bits,
 )
 
 __all__ = [
@@ -62,8 +64,29 @@ class Assignment:
         return tuple(self.value(r) for r in range(1, self.n + 1))
 
     def __str__(self) -> str:
-        """E.g. ``j=2: a1=0 a2=1``."""
-        return f"j={self.index}: " + _bit_renderer(self.n, "{}=0", "{}=1", " ")(self.index)
+        """E.g. ``j=2: a1=0 a2=1``; three table lookups, nothing per variable."""
+        j = self.index
+        t0, t1, t2 = _ASSIGNMENT_WORDS[self.n]
+        return f"j={j}: {t0[j & 255]}{t1[j >> 8 & 255]}{t2[j >> 16]}"
+
+
+class _WordTables(dict):
+    """Chunk tables of the words ``a<r>=<value>`` of each n, built on first use.
+
+    Every word but the last is followed by a space, so a rendered text
+    needs no cut.  A plain dict lookup keeps the per-item cost of
+    ``str(Assignment)`` down to one subscript.
+    """
+
+    def __missing__(self, n: int) -> list[tuple[str, ...]]:
+        def word(r: int, value: int) -> str:
+            return f"a{r}={value}" if r == n else f"a{r}={value} "
+
+        tables = self[n] = _chunk_tables(n, lambda r: word(r, 0), lambda r: word(r, 1))
+        return tables
+
+
+_ASSIGNMENT_WORDS = _WordTables()
 
 
 def _index_of(n: int, j: Assignment | int) -> int:
@@ -86,8 +109,16 @@ def count_models(a: BoolFunc) -> int:
 
 
 def satisfying_assignments(a: BoolFunc) -> list[Assignment]:
-    """All satisfying assignments in ascending index order."""
-    return [Assignment._of(a.n, j) for j in _set_bits(a.tt)]
+    """All satisfying assignments in ascending index order.
+
+    The list is built in bulk, with no Python frame per item: bare
+    instances first, then each slot filled through its descriptor.
+    """
+    js = _set_bits(a.tt)
+    out = list(map(object.__new__, repeat(Assignment, len(js))))
+    deque(map(Assignment.n.__set__, out, repeat(a.n)), maxlen=0)
+    deque(map(Assignment.index.__set__, out, js), maxlen=0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ The library takes one route to each result.  The second routes below
 are the slower, more literal derivations: per-monomial AND-products,
 pairwise monomial multiplication, clause widening one variable at a
 time, maxterm products and minterm sums, the arithmetic form of the
-flip map, per-bit scans, text rendered one variable at a time, and
-source-level evaluation and flips of CNF documents.  Each is compared
-with the production route by exact equality, exhaustively at small n
-and with Hypothesis and seeded vectors above.
+flip map, per-bit scans, text rendered one variable at a time, the
+former byte-wise sort key of the polynomial text, formula trees and
+clauses evaluated once per assignment, and source-level evaluation and
+flips of CNF documents.  Each is compared with the production route
+by exact equality, exhaustively at small n and with Hypothesis and
+seeded vectors above.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -21,6 +24,7 @@ from boolring import (
     Assignment,
     BoolFunc,
     CnfDoc,
+    Formula,
     PrimeSet,
     apply_flip,
     ast_flip,
@@ -47,6 +51,7 @@ from boolring import (
     zero,
 )
 from boolring.cli import main
+from boolring.frontend import And, Const, Implies, Not, Or, Var, Xor
 from boolring.ring import _set_bits
 
 MAX_N = 10
@@ -147,6 +152,46 @@ def ref_set_bits(x):
     return [i for i in range(x.bit_length()) if (x >> i) & 1]
 
 
+def pack(positions):
+    """The vector with the given bits set, one OR per position."""
+    x = 0
+    for j in positions:
+        x |= 1 << j
+    return x
+
+
+def ref_eval_node(node, j):
+    """Value of a formula node under assignment j, walking the tree once per assignment."""
+    kind = type(node)
+    if kind is Const:
+        return node.value
+    if kind is Var:
+        return (j >> (node.index - 1)) & 1
+    if kind is Not:
+        return 1 - ref_eval_node(node.arg, j)
+    a, b = ref_eval_node(node.lhs, j), ref_eval_node(node.rhs, j)
+    return {And: a & b, Or: a | b, Xor: a ^ b, Implies: (1 - a) | b}[kind]
+
+
+def ref_eval_ast(f):
+    return BoolFunc(f.n, pack((j for j in range(1 << f.n) if ref_eval_node(f.root, j))))
+
+
+_REVERSED_BYTES = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+
+
+def ref_anf_order_key(n):
+    """The former sort key of ``str(Anf)``: popcount, then the complement of
+    the bit-reversed mask, built per monomial through bytes."""
+    size = (n + 7) // 8
+    return lambda m: (m.bit_count() << (8 * size)) - int.from_bytes(
+        m.to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
+
+
+def mono_text(m):
+    return "·".join(f"a{r}" for r in range(1, m.bit_length() + 1) if (m >> (r - 1)) & 1) or "1"
+
+
 def ref_anf_text(monos):
     """Monomials ordered by (degree, sorted variable list), one f-string per variable."""
     if not monos:
@@ -242,6 +287,25 @@ def name_lists(draw, n):
         return None
     stems = st.sampled_from(["x", "y_", "{}", "{0}", "¬", "long_name"])
     return [f"{draw(stems)}{r}" for r in range(1, n + 1)]
+
+
+@st.composite
+def formulas(draw, max_n=8):
+    """Formula trees over every node type, Const and Implies included."""
+    n = draw(sizes(max_n))
+    leaves = st.one_of(
+        st.builds(Const, st.integers(min_value=0, max_value=1)),
+        st.builds(Var, st.integers(min_value=1, max_value=n)),
+    )
+
+    def branches(sub):
+        return st.one_of(
+            st.builds(Not, sub),
+            *(st.builds(cls, sub, sub) for cls in (And, Or, Xor, Implies)),
+        )
+
+    root = draw(st.recursive(leaves, branches, max_leaves=24))
+    return Formula(root, n, tuple(f"a{r}" for r in range(1, n + 1)))
 
 
 def all_clauses(n):
@@ -543,3 +607,111 @@ class TestGeneratedCnf:
         flipped = apply_flip(f, s)
         assert eval_cnf(cnf_flip(doc, s)) == flipped
         assert eval_ast(ast_flip(parsed, s)) == flipped
+
+
+# ---------------------------------------------------------------------------
+# routes without per-item Python objects
+
+
+class TestBulkRoutes:
+    @given(funcs())
+    def test_bulk_assignments_are_plain_assignments(self, f):
+        got = satisfying_assignments(f)
+        assert type(got) is list
+        for a in got:
+            built = Assignment(f.n, a.index)
+            assert type(a) is Assignment
+            assert a == built and hash(a) == hash(built)
+            assert (a.n, a.index) == (built.n, built.index)
+        if got:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got[0].index = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got[-1].n = 1
+
+    @settings(max_examples=200)
+    @given(formulas())
+    def test_eval_ast_matches_tree_walk(self, f):
+        assert eval_ast(f) == ref_eval_ast(f)
+
+    def test_eval_ast_every_node_type(self):
+        n = 3
+        x1, x2, x3 = Var(1), Var(2), Var(3)
+        root = Xor(Implies(Not(x1), And(x2, Const(1))), Or(x3, Const(0)))
+        f = Formula(root, n, ("a1", "a2", "a3"))
+        assert eval_ast(f) == ref_eval_ast(f)
+        assert eval_ast(Formula(Const(1), n, f.names)) == one(n)
+        assert eval_ast(Formula(Const(0), n, f.names)) == zero(n)
+
+    def test_eval_cnf_exhaustive_small(self):
+        for n in (1, 2, 3):
+            cls = list(all_clauses(n))
+            for k in (0, 1, 2):
+                for chosen in itertools.combinations(cls, k):
+                    doc = CnfDoc(n, chosen)
+                    assert eval_cnf(doc) == ~BoolFunc(n, pack(ref_falsified(doc)))
+
+    @settings(max_examples=100)
+    @given(cnf_docs())
+    def test_eval_cnf_matches_falsification(self, doc):
+        assert eval_cnf(doc) == ~BoolFunc(doc.n, pack(ref_falsified(doc)))
+
+    @pytest.mark.parametrize("n", BOUNDARY_N)
+    def test_anf_order_matches_former_key(self, n):
+        rng = random.Random(0xA4F + n)
+        masks = boundary_positions(n, rng) + [0]
+        anf = Anf(n, frozenset(monomial_of(m) for m in masks))
+        ordered = sorted(set(masks), key=ref_anf_order_key(n))
+        assert str(anf) == " ⊕ ".join(map(mono_text, ordered))
+
+    def test_anf_order_matches_former_key_exhaustive_small(self):
+        for n in (1, 2, 3, 4):
+            for t in range(1 << (1 << n)):
+                anf = to_anf(BoolFunc(n, t))
+                ordered = sorted(_set_bits(anf.mask), key=ref_anf_order_key(n))
+                assert str(anf) == (" ⊕ ".join(map(mono_text, ordered)) or "0")
+
+
+@st.composite
+def sparse_vectors(draw, max_n=20):
+    """A vector of width 2**n with a few set bits, single or in short runs,
+    and the sorted positions it was built from."""
+    n = draw(sizes(max_n))
+    starts = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=40))
+    runs = [range(s, min(s + draw(st.integers(1, 70)), 1 << n)) for s in starts]
+    positions = sorted(set(itertools.chain.from_iterable(runs)))
+    return n, pack(positions), positions
+
+
+class TestSetBitsRoutes:
+    """``_set_bits`` walks only the nonzero 64-bit words when they are at most
+    half of all words, and every bit otherwise; both routes against the scan."""
+
+    @given(sparse_vectors())
+    def test_sparse(self, case):
+        n, x, positions = case
+        assert _set_bits(x) == positions
+        if n <= 12:  # the scan shifts the whole vector once per bit
+            assert _set_bits(x) == ref_set_bits(x)
+
+    @given(funcs(max_n=14))
+    def test_dense(self, f):
+        assert _set_bits(f.tt) == ref_set_bits(f.tt)
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 8, 9, 64, 65])
+    def test_at_the_route_switch(self, words):
+        rng = random.Random(words)
+        for nonzero in {0, words // 2, (words + 1) // 2, words // 2 + 1, words}:
+            if not 0 < nonzero <= words:
+                continue
+            # the top word is always nonzero, so the vector has exactly `words` words
+            chosen = set(rng.sample(range(words - 1), nonzero - 1)) | {words - 1}
+            x = 0
+            for w in chosen:
+                x |= rng.getrandbits(64) << (64 * w) | 1 << (64 * w + rng.randrange(64))
+            assert _set_bits(x) == ref_set_bits(x)
+
+    def test_sparse_wide(self):
+        rng = random.Random(24)
+        positions = sorted(rng.sample(range(1 << 24), 300) + [0, (1 << 24) - 1])
+        assert _set_bits(pack(positions)) == positions

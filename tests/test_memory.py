@@ -1,9 +1,12 @@
-"""Peak memory of the packed transforms, measured with tracemalloc.
+"""Peak memory of the packed transforms and evaluators, measured with tracemalloc.
 
 Each transform holds a few 2**n-bit vectors at a time: its input, its
 result and the temporaries of one butterfly or XOR step.  The bound is
 eight vectors at n = 20; a route that builds one Python object per
-monomial or per index exceeds it by orders of magnitude.
+monomial or per index exceeds it by orders of magnitude.  The
+evaluators are held to the same bound: a 3-CNF of 4n clauses, and a
+formula of bounded depth, each keep a few vectors live, not one per
+literal or node.
 """
 
 import random
@@ -11,7 +14,9 @@ import tracemalloc
 
 import pytest
 
-from boolring import BoolFunc, compose, decompose, from_anf, to_anf
+from boolring import (
+    BoolFunc, CnfDoc, compose, decompose, eval_ast, eval_cnf, from_anf, parse_formula, to_anf,
+)
 
 N = 20
 VECTOR_BYTES = (1 << N) // 8
@@ -45,5 +50,33 @@ def test_peak_is_a_few_vectors(func, name):
         "decompose": lambda: decompose(func),
         "compose": lambda: compose(N, decompose(func)),
     }
+    peak = peak_bytes(calls[name])
+    assert peak <= LIMIT_BYTES, f"{name} peaked at {peak / VECTOR_BYTES:.1f} vectors"
+
+
+def random_3cnf(rng, n, m):
+    return CnfDoc(n, tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in sorted(rng.sample(range(1, n + 1), 3)))
+        for _ in range(m)
+    ))
+
+
+def bounded_formula(rng, n, depth):
+    """Formula text whose tree is at most ``depth`` operators deep."""
+    if depth == 0:
+        return f"a{rng.randint(1, n)}" if rng.random() < 0.9 else str(rng.randint(0, 1))
+    op = rng.choice(["&", "|", "^", "->", "!"])
+    if op == "!":
+        return f"!({bounded_formula(rng, n, depth - 1)})"
+    lhs, rhs = (bounded_formula(rng, n, depth - 1) for _ in range(2))
+    return f"({lhs}) {op} ({rhs})"
+
+
+@pytest.mark.parametrize("name", ["eval_cnf", "eval_ast"])
+def test_evaluator_peak_is_a_few_vectors(name):
+    rng = random.Random(21)
+    doc = random_3cnf(rng, N, 4 * N)
+    formula = parse_formula(bounded_formula(rng, N, 4), N)
+    calls = {"eval_cnf": lambda: eval_cnf(doc), "eval_ast": lambda: eval_ast(formula)}
     peak = peak_bytes(calls[name])
     assert peak <= LIMIT_BYTES, f"{name} peaked at {peak / VECTOR_BYTES:.1f} vectors"

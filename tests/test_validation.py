@@ -15,6 +15,7 @@ from boolring import (
     Assignment,
     BoolFunc,
     CnfDoc,
+    DimacsError,
     FlipMask,
     LiteralProduct,
     PrimeSet,
@@ -37,6 +38,7 @@ from boolring import (
     parse_formula,
     pi,
     prime,
+    set_max_vars,
     var,
     verify_ti,
     verify_tii_tiii,
@@ -47,6 +49,16 @@ from boolring import (
 
 F2 = BoolFunc(2, 0b0110)
 BIG = get_max_vars() + 1
+
+
+def set_cap(limit):
+    """``set_max_vars(limit)``, with the cap restored whatever happens."""
+    saved = get_max_vars()
+    try:
+        set_max_vars(limit)
+    finally:
+        set_max_vars(saved)
+
 
 CASES = [
     # variable counts
@@ -88,6 +100,10 @@ CASES = [
     ("verify_tiv(True)", lambda: verify_tiv(True), TypeError),
     ("verify_tv(True)", lambda: verify_tv(True), TypeError),
     ("verify_tv(7)", lambda: verify_tv(7), SizeLimitError),
+    ("set_max_vars(True)", lambda: set_cap(True), TypeError),
+    ("set_max_vars(2.5)", lambda: set_cap(2.5), TypeError),
+    ("set_max_vars('3')", lambda: set_cap("3"), TypeError),
+    ("set_max_vars(0)", lambda: set_cap(0), ValueError),
     # assignment indices j
     ("prime(2, True)", lambda: prime(2, True), TypeError),
     ("prime(2, 1.0)", lambda: prime(2, 1.0), TypeError),
@@ -131,6 +147,14 @@ CASES = [
     ("ast_flip(f, True)", lambda: ast_flip(parse_formula("a1 & a2"), True), TypeError),
     ("cnf_flip(doc, 1.0)", lambda: cnf_flip(CnfDoc(2, ((1, 2),)), 1.0), TypeError),
     ("clause_blowup([1], True)", lambda: clause_blowup([1], True), TypeError),
+    # payloads: truth vectors, polarities and clause literals
+    ("BoolFunc(2, True)", lambda: BoolFunc(2, True), TypeError),
+    ("BoolFunc(2, 1.0)", lambda: BoolFunc(2, 1.0), TypeError),
+    ("BoolFunc(2, 16)", lambda: BoolFunc(2, 16), ValueError),
+    ("LiteralProduct(2, (True, 1))", lambda: LiteralProduct(2, (True, 1)), TypeError),
+    ("LiteralProduct(2, (1, 'x'))", lambda: LiteralProduct(2, (1, "x")), TypeError),
+    ("CnfDoc(2, ((True,),))", lambda: CnfDoc(2, ((True,),)), DimacsError),
+    ("CnfDoc(2, ((1, False),))", lambda: CnfDoc(2, ((1, False),)), DimacsError),
     # a mask or assignment over another count than the explicit n
     ("pi(FlipMask(2, 1), 1, 3)", lambda: pi(FlipMask(2, 1), 1, 3), ValueError),
     ("pi(1, Assignment(2, 1), 3)", lambda: pi(1, Assignment(2, 1), 3), ValueError),
