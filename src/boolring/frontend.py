@@ -17,13 +17,12 @@ document's truth vector, whose zeros are exactly those maxterms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .flipgroup import FlipMask, _mask_of
 from .primes import _CLAUSE, _MINTERM, PrimeSet, decompose, _checked_names
 from .ring import (
-    BoolFunc, check_var_count, _bit_renderer, _check_var, _ones, _set_bits, _var_tt,
+    BoolFunc, check_var_count, _Frozen, _bit_renderer, _check_var, _ones, _set_bits, _var_tt,
 )
 
 __all__ = [
@@ -68,55 +67,79 @@ class DimacsError(ValueError):
 # formula AST
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: int
+class Const(_Frozen):
+    """The constant 0 or 1."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    index: int
+class Var(_Frozen):
+    """Variable ``a<index>``, counted from 1."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    arg: "Node"
+class Not(_Frozen):
+    """Negation ``!arg``."""
+
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Node) -> None:
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    lhs: "Node"
-    rhs: "Node"
+class _Binary(_Frozen):
+    """A binary connective over ``lhs`` and ``rhs``."""
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Node, rhs: Node) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    lhs: "Node"
-    rhs: "Node"
+class And(_Binary):
+    """Conjunction ``lhs & rhs``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Xor:
-    lhs: "Node"
-    rhs: "Node"
+class Or(_Binary):
+    """Disjunction ``lhs | rhs``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
-    lhs: "Node"
-    rhs: "Node"
+class Xor(_Binary):
+    """Exclusive or ``lhs ^ rhs``."""
+
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    """Implication ``lhs -> rhs``."""
+
+    __slots__ = ()
 
 
 Node = Const | Var | Not | And | Or | Xor | Implies
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(_Frozen):
     """A parsed formula with its variable count and display names."""
 
-    root: Node
-    n: int
-    names: tuple[str, ...]
+    __slots__ = ("root", "n", "names")
+
+    def __init__(self, root: Node, n: int, names: tuple[str, ...]) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "names", names)
 
     def to_text(self) -> str:
         """Render back to the input syntax with minimal parentheses."""
@@ -378,8 +401,7 @@ def _flip_node(node: Node, flipped: set[int]) -> Node:
 # DIMACS CNF documents
 
 
-@dataclass(frozen=True)
-class CnfDoc:
+class CnfDoc(_Frozen):
     """A CNF over n variables.
 
     Each clause is a tuple of nonzero literals sorted by variable index,
@@ -388,13 +410,12 @@ class CnfDoc:
     the constant 1.
     """
 
-    n: int
-    clauses: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "clauses")
 
-    def __post_init__(self) -> None:
-        check_var_count(self.n)
-        canon = tuple(_normalize_clause(cl, self.n) for cl in self.clauses)
-        object.__setattr__(self, "clauses", canon)
+    def __init__(self, n: int, clauses: Iterable[Iterable[int]]) -> None:
+        check_var_count(n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "clauses", tuple(_normalize_clause(cl, n) for cl in clauses))
 
 
 def _normalize_clause(lits: Iterable[int], n: int) -> tuple[int, ...]:

@@ -10,12 +10,11 @@ a = ~p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ring import (
-    BoolFunc, check_var_count, one, var, _bit_renderer, _check_index, _check_var, _ones, _pack_bits,
-    _set_bits,
+    BoolFunc, check_var_count, one, var, _Frozen, _bit_renderer, _check_index, _check_var, _ones,
+    _pack_bits, _set_bits,
 )
 
 __all__ = [
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PrimeSet:
+class PrimeSet(_Frozen):
     """Maxterm indices of a function: the assignments where it is false.
 
     ``PrimeSet(n, indices)`` takes the indices as ints in 0..2**n - 1.
@@ -42,8 +40,7 @@ class PrimeSet:
     vector.  ``indices`` and ``complement()`` are views rebuilt from it.
     """
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
     def __init__(self, n: int, indices: Iterable[int]) -> None:
         check_var_count(n)
@@ -78,20 +75,20 @@ def prime(n: int, j: int) -> BoolFunc:
     return BoolFunc(n, _ones(n) ^ (1 << j))
 
 
-@dataclass(frozen=True, slots=True)
-class LiteralProduct:
+class LiteralProduct(_Frozen):
     """AND over all n variables, each one plain (True) or negated (False)."""
 
-    n: int
-    polarities: tuple[bool, ...]
+    __slots__ = ("n", "polarities")
 
-    def __post_init__(self) -> None:
-        check_var_count(self.n)
-        if len(self.polarities) != self.n:
+    def __init__(self, n: int, polarities: tuple[bool, ...]) -> None:
+        check_var_count(n)
+        if len(polarities) != n:
             raise ValueError("exactly one polarity per variable is required")
-        for positive in self.polarities:
+        for positive in polarities:
             if not isinstance(positive, bool):
                 raise TypeError(f"polarity must be a bool, got {type(positive).__name__}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "polarities", polarities)
 
     def index(self) -> int:
         """The unique assignment satisfying the product."""

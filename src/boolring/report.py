@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
+
+from .ring import _Frozen
 
 __all__ = ["Report", "Checker"]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Frozen):
     """Outcome of one verification run.
 
     ``checks`` counts the elementary assertions exercised;
@@ -18,12 +18,23 @@ class Report:
     except ``elapsed`` is deterministic for a given library version.
     """
 
-    name: str
-    n: int
-    passed: bool
-    checks: int
-    elapsed: float
-    counterexample: str | None = None
+    __slots__ = ("name", "n", "passed", "checks", "elapsed", "counterexample")
+
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        passed: bool,
+        checks: int,
+        elapsed: float,
+        counterexample: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def line(self, with_elapsed: bool = True) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -16,9 +16,9 @@ exactly when both the variable count and the truth vector agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
+from operator import attrgetter
 from typing import Callable, Iterable, TypeVar
 
 __all__ = [
@@ -120,19 +120,72 @@ def _var_tt(n: int, r: int) -> int:
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class BoolFunc:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and stores them in its
+    own ``__init__`` through ``object.__setattr__``.  The base takes
+    ``__match_args__`` from the slots and supplies equality with
+    instances of the same class, the hash of the field tuple, the repr
+    ``Name(field=value, ...)`` and copy and pickle support; any later
+    write or delete raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__match_args__ + cls.__dict__.get("__slots__", ())
+        cls.__match_args__ = fields
+        get = attrgetter(*fields)
+        # the field tuple; attrgetter returns a bare value for one field
+        cls._astuple = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # imported on the error path only: dataclasses pulls in inspect,
+        # which would dominate the package's import time
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._astuple(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
+
+
+class BoolFunc(_Frozen):
     """A Boolean function of ``n`` variables, packed as a 2**n-bit integer."""
 
-    n: int
-    tt: int
+    __slots__ = ("n", "tt")
 
-    def __post_init__(self) -> None:
-        check_var_count(self.n)
-        if isinstance(self.tt, bool) or not isinstance(self.tt, int):
-            raise TypeError(f"truth vector must be an int, got {type(self.tt).__name__}")
-        if not 0 <= self.tt <= _ones(self.n):
-            raise ValueError(f"truth vector must fit in {1 << self.n} bits")
+    def __init__(self, n: int, tt: int) -> None:
+        check_var_count(n)
+        if isinstance(tt, bool) or not isinstance(tt, int):
+            raise TypeError(f"truth vector must be an int, got {type(tt).__name__}")
+        if not 0 <= tt <= _ones(n):
+            raise ValueError(f"truth vector must fit in {1 << n} bits")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tt", tt)
 
     def __xor__(self, other: BoolFunc) -> BoolFunc:
         """Ring sum: pointwise XOR."""
@@ -236,8 +289,7 @@ def or_(a: BoolFunc, b: BoolFunc) -> BoolFunc:
     return a | b
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Anf:
+class Anf(_Frozen):
     """XOR-of-monomials form of a function of ``n`` variables.
 
     ``Anf(n, monomials)`` takes each monomial as a set of variable
@@ -249,8 +301,7 @@ class Anf:
     and ``mask`` agree.
     """
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
     def __init__(self, n: int, monomials: Iterable[Iterable[int]]) -> None:
         check_var_count(n)

@@ -10,11 +10,11 @@ through ``ADD_TABLE`` and products through ``MUL_TABLE``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 
 from .ring import (
-    BoolFunc, check_var_count, _check_cap, _check_index, _check_var, _chunk_tables, _set_bits,
+    BoolFunc, check_var_count, _Frozen, _check_cap, _check_index, _check_var, _chunk_tables,
+    _set_bits,
 )
 
 __all__ = [
@@ -33,19 +33,19 @@ ADD_TABLE = ((0, 1), (1, 0))
 MUL_TABLE = ((0, 0), (0, 1))
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
+class Assignment(_Frozen):
     """One of the 2**n truth assignments, identified by its index.
 
     Bit (r - 1) of the index is the value given to variable r.
     """
 
-    n: int
-    index: int
+    __slots__ = ("n", "index")
 
-    def __post_init__(self) -> None:
-        check_var_count(self.n)
-        _check_index(self.n, self.index)
+    def __init__(self, n: int, index: int) -> None:
+        check_var_count(n)
+        _check_index(n, index)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def _of(cls, n: int, index: int) -> Assignment:
@@ -121,8 +121,7 @@ def satisfying_assignments(a: BoolFunc) -> list[Assignment]:
     return out
 
 
-@dataclass(frozen=True)
-class AllowedMapTable:
+class AllowedMapTable(_Frozen):
     """The compositional 0/1 maps found by exhaustion.
 
     ``maps[k][t]`` is the image of the function with packed vector ``t``
@@ -130,8 +129,11 @@ class AllowedMapTable:
     sends exactly the k-th minterm to 1.
     """
 
-    n: int
-    maps: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "maps")
+
+    def __init__(self, n: int, maps: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "maps", maps)
 
 
 def enumerate_allowed_maps(n: int) -> AllowedMapTable:

@@ -14,6 +14,7 @@ seeded vectors above.
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -40,6 +41,7 @@ from boolring import (
     minterm_dnf_text,
     minterm_text,
     one,
+    parse_dimacs,
     parse_formula,
     pi,
     prime,
@@ -607,6 +609,26 @@ class TestGeneratedCnf:
         flipped = apply_flip(f, s)
         assert eval_cnf(cnf_flip(doc, s)) == flipped
         assert eval_ast(ast_flip(parsed, s)) == flipped
+
+    def test_cli_flip_texts_match_vector_flip(self, tmp_path, capsys):
+        # the CLI prints the source-level flip; it must denote the flipped vector
+        rng = random.Random(0xF11)
+        for n in (2, 3, 5):
+            doc = CnfDoc(n, tuple(tuple(v if rng.random() < 0.5 else -v
+                                        for v in rng.sample(range(1, n + 1), 2))
+                                  for _ in range(n)))
+            path = tmp_path / f"doc{n}.cnf"
+            path.write_text(to_dimacs(doc))
+            for s in range(1 << n):
+                for source in (["--formula", cnf_formula_text(doc)], ["--dimacs", str(path)]):
+                    assert main(["flip", "--json", *source, "--flip", str(s)]) == 0
+                    out = json.loads(capsys.readouterr().out)
+                    flipped = BoolFunc.from_bits(out["flipped_bits"])
+                    if "flipped_formula" in out:
+                        got = eval_ast(parse_formula(out["flipped_formula"], n))
+                    else:
+                        got = eval_cnf(parse_dimacs(out["flipped_dimacs"].replace(" / ", "\n")))
+                    assert got == flipped == apply_flip(eval_cnf(doc), s)
 
 
 # ---------------------------------------------------------------------------
