@@ -5,7 +5,10 @@ constants ``0`` and ``1``, and either indexed variables ``a1..a<n>`` or
 bare identifiers (assigned indices in order of first appearance; the
 two styles cannot be mixed).  ``!`` binds tightest, then ``&``, then
 ``|`` and ``^`` at equal strength, then right-associative ``->``.
-Chains mixing ``|`` and ``^`` without parentheses are rejected.
+Chains mixing ``|`` and ``^`` without parentheses are rejected.  One
+operator table drives the parser and the renderer, and every pass over
+a formula keeps an explicit stack, so nesting depth is not limited by
+the recursion limit.
 
 CNF documents land in ``CnfDoc`` and can be expanded into full-width
 form: a clause missing one variable doubles into the two clauses
@@ -17,7 +20,7 @@ document's truth vector, whose zeros are exactly those maxterms.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .flipgroup import FlipMask, _mask_of
 from .primes import _CLAUSE, _MINTERM, PrimeSet, decompose, _checked_names
@@ -143,179 +146,155 @@ class Formula(_Frozen):
 
     def to_text(self) -> str:
         """Render back to the input syntax with minimal parentheses."""
-        text, _, _ = _render(self.root, self.names)
-        return text
-
-
-_LEVELS: dict[type, int] = {Implies: 1, Or: 2, Xor: 2, And: 3, Not: 4, Var: 5, Const: 5}
-_OP_TEXT: dict[type, str] = {And: "&", Or: "|", Xor: "^", Implies: "->"}
-
-
-def _render(node: Node, names: tuple[str, ...]) -> tuple[str, int, type]:
-    cls = type(node)
-    level = _LEVELS[cls]
-    if cls is Const:
-        return str(node.value), level, cls
-    if cls is Var:
-        return names[node.index - 1], level, cls
-    if cls is Not:
-        text, sub_level, _ = _render(node.arg, names)
-        if sub_level < level:
-            text = f"({text})"
-        return f"!{text}", level, cls
-    lhs_text, lhs_level, lhs_cls = _render(node.lhs, names)
-    rhs_text, rhs_level, rhs_cls = _render(node.rhs, names)
-    if cls is Implies:
-        # right-associative: parenthesize an implication on the left only
-        if lhs_level <= level:
-            lhs_text = f"({lhs_text})"
-        if rhs_level < level:
-            rhs_text = f"({rhs_text})"
-    else:
-        # these operators parse left-associatively, so a right subtree at
-        # the same level needs parentheses even for the same operator
-        if lhs_level < level or (lhs_level == level and lhs_cls is not cls):
-            lhs_text = f"({lhs_text})"
-        if rhs_level <= level:
-            rhs_text = f"({rhs_text})"
-    return f"{lhs_text} {_OP_TEXT[cls]} {rhs_text}", level, cls
+        names, pieces = self.names, []
+        pending: list[Node | str] = [self.root]  # nodes to render and text to emit, next last
+        emit, pop = pieces.append, pending.pop
+        while pending:
+            item = pop()
+            cls = type(item)
+            if cls is Var:
+                emit(names[item.index - 1])
+            elif cls is str:
+                emit(item)
+            elif cls is Const:
+                emit(str(item.value))
+            elif cls is Not:
+                emit("!")
+                arg = item.arg
+                pending += (")", arg, "(") if type(arg) in _BINARY_NODES else (arg,)
+            else:
+                text, wrap_lhs, wrap_rhs = _BINARY_NODES[cls]
+                lhs, rhs = item.lhs, item.rhs
+                if type(rhs) in wrap_rhs:
+                    pending += (")", rhs, "(")
+                else:
+                    pending.append(rhs)
+                pending.append(text)
+                if type(lhs) in wrap_lhs:
+                    pending += (")", lhs, "(")
+                else:
+                    pending.append(lhs)
+        return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
-# tokenizer and recursive-descent parser
+# operator table, tokenizer and precedence parser
 #
-# formula := orxor ('->' formula)?          right-associative
-# orxor   := term ('|' term)* | term ('^' term)*
-# term    := factor ('&' factor)*
-# factor  := '!' factor | '(' formula ')' | '0' | '1' | variable
+# Each binary operator: its binding level (higher binds tighter), whether
+# it groups to the right, and the node it builds.  Prefix ``!`` binds
+# tighter than all of them.  ``|`` and ``^`` share a level, and a chain
+# mixing them needs parentheses.
 
-_TOKEN_RE = re.compile(r"->|[()!&|^]|\d+|[A-Za-z_][A-Za-z0-9_]*")
+_BINARY: dict[str, tuple[int, bool, type[_Binary]]] = {
+    "->": (1, True, Implies),
+    "|": (2, False, Or),
+    "^": (2, False, Xor),
+    "&": (3, False, And),
+}
+
+# Per node class: its operator text and the operand classes it parenthesises
+# on the left and on the right: those that bind looser, and those at its level
+# except itself on the side it groups toward.
+_BINARY_NODES = {
+    cls: (f" {op} ", *(frozenset(c for lv, _, c in _BINARY.values()
+                                 if lv < level or lv == level and (c is not cls or right == on_left))
+                       for on_left in (True, False)))
+    for op, (level, right, cls) in _BINARY.items()
+}
+
+_TOKEN_RE = re.compile(r"(->|[()!&|^]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S)")
 _INDEXED_RE = re.compile(r"a(\d+)\Z")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
-        tokens.append((m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        tok, bad = m.groups()
+        if bad:
+            raise FormulaSyntaxError(f"unexpected character {bad!r}", m.start())
+        tokens.append((tok, m.start()))
     tokens.append(("", len(text)))  # end marker
     return tokens
 
 
 class _Parser:
+    """Operator precedence with an operand and an operator stack (Pratt,
+    POPL 1973; Norvell 1999), so nesting depth costs no recursion."""
+
     def __init__(self, text: str, declared_n: int | None) -> None:
         self._tokens = _tokenize(text)
-        self._pos = 0
         self._declared_n = declared_n
-        self.style: str | None = None
-        self.max_index = 0
+        self.max_index = 0  # highest index so far, in either style
         self.named: dict[str, int] = {}
 
-    def _peek(self) -> str:
-        return self._tokens[self._pos][0]
-
-    def _here(self) -> int:
-        return self._tokens[self._pos][1]
-
-    def _advance(self) -> tuple[str, int]:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _accept(self, text: str) -> bool:
-        if self._peek() == text:
-            self._pos += 1
-            return True
-        return False
-
     def parse(self) -> Node:
-        node = self._implies()
-        if self._peek():
-            raise FormulaSyntaxError(f"unexpected {self._peek()!r}", self._here())
-        return node
+        out: list[Node] = []
+        ops: list[str] = []  # pending '(', '!' and binary operators, innermost last
+        want_operand = True
+        for tok, pos in self._tokens:
+            if want_operand:
+                if tok == "!" or tok == "(":
+                    ops.append(tok)
+                    continue
+                node = self._leaf(tok, pos)
+            else:
+                # build the pending operators that bind tighter, or as tight unless
+                # ``tok`` groups right; ')', the end or a stray operand builds all
+                level, right, _ = _BINARY.get(tok, (0, True, None))
+                while ops and (top := _BINARY.get(ops[-1])) and top[0] >= level + right:
+                    if top[0] == level and ops[-1] != tok:
+                        raise FormulaSyntaxError("mixing '|' and '^' needs parentheses", pos)
+                    rhs = out.pop()
+                    out[-1] = top[2](out[-1], rhs)
+                    ops.pop()
+                if tok in _BINARY:
+                    ops.append(tok)
+                    want_operand = True
+                    continue
+                if not ops and not tok:
+                    break
+                if not ops or tok != ")":  # what is left on ops is an open '('
+                    raise FormulaSyntaxError("expected ')'" if ops else f"unexpected {tok!r}", pos)
+                ops.pop()
+                node = out.pop()
+            while ops and ops[-1] == "!":
+                ops.pop()
+                node = Not(node)
+            out.append(node)
+            want_operand = False
+        return out[0]
 
-    def _implies(self) -> Node:
-        lhs = self._orxor()
-        if self._accept("->"):
-            return Implies(lhs, self._implies())
-        return lhs
-
-    def _orxor(self) -> Node:
-        node = self._term()
-        chain_op: str | None = None
-        while self._peek() in ("|", "^"):
-            op, pos = self._advance()
-            if chain_op is None:
-                chain_op = op
-            elif op != chain_op:
-                raise FormulaSyntaxError(
-                    "mixing '|' and '^' needs parentheses", pos
-                )
-            rhs = self._term()
-            node = Or(node, rhs) if op == "|" else Xor(node, rhs)
-        return node
-
-    def _term(self) -> Node:
-        node = self._factor()
-        while self._accept("&"):
-            node = And(node, self._factor())
-        return node
-
-    def _factor(self) -> Node:
-        tok, pos = self._advance()
-        if tok == "!":
-            return Not(self._factor())
-        if tok == "(":
-            node = self._implies()
-            if not self._accept(")"):
-                raise FormulaSyntaxError("expected ')'", self._here())
-            return node
+    def _leaf(self, tok: str, pos: int) -> Const | Var:
         if tok.isdigit():
             if tok in ("0", "1"):
                 return Const(int(tok))
             raise FormulaSyntaxError(f"constants are 0 and 1, got {tok}", pos)
         if not tok:
             raise FormulaSyntaxError("unexpected end of input", pos)
-        if tok[0].isalpha() or tok[0] == "_":
-            return self._variable(tok, pos)
-        raise FormulaSyntaxError(f"unexpected {tok!r}", pos)
-
-    def _variable(self, tok: str, pos: int) -> Var:
+        if not (tok[0].isalpha() or tok[0] == "_"):
+            raise FormulaSyntaxError(f"unexpected {tok!r}", pos)
         m = _INDEXED_RE.fullmatch(tok)
-        if m:
-            index = int(m.group(1))
-            if index < 1:
-                raise FormulaSyntaxError("variable indices start at a1", pos)
-            self._set_style("indexed", pos)
-            if self._declared_n is not None and index > self._declared_n:
-                raise FormulaSyntaxError(
-                    f"variable a{index} beyond declared count {self._declared_n}", pos
-                )
-            self.max_index = max(self.max_index, index)
-            return Var(index)
-        self._set_style("named", pos)
-        if tok not in self.named:
-            if self._declared_n is not None and len(self.named) >= self._declared_n:
-                raise FormulaSyntaxError(
-                    f"more than {self._declared_n} distinct variables", pos
-                )
-            self.named[tok] = len(self.named) + 1
-        return Var(self.named[tok])
-
-    def _set_style(self, style: str, pos: int) -> None:
-        if self.style is None:
-            self.style = style
-        elif self.style != style:
+        index = int(m.group(1)) if m else None
+        if index == 0:
+            raise FormulaSyntaxError("variable indices start at a1", pos)
+        if self.max_index and bool(self.named) != (index is None):  # other style seen
             raise FormulaSyntaxError(
                 "cannot mix indexed variables (a<k>) with named variables", pos
             )
+        if index is None:
+            if tok not in self.named:
+                if self._declared_n is not None and len(self.named) >= self._declared_n:
+                    raise FormulaSyntaxError(
+                        f"more than {self._declared_n} distinct variables", pos
+                    )
+                self.named[tok] = len(self.named) + 1
+            index = self.named[tok]
+        elif self._declared_n is not None and index > self._declared_n:
+            raise FormulaSyntaxError(
+                f"variable a{index} beyond declared count {self._declared_n}", pos
+            )
+        self.max_index = max(self.max_index, index)
+        return Var(index)
 
 
 def parse_formula(text: str, n: int | None = None) -> Formula:
@@ -328,16 +307,37 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
         check_var_count(n)
     parser = _Parser(text, n)
     root = parser.parse()
-    if parser.style == "named":
-        used = len(parser.named)
-        base_names = tuple(parser.named)
-    else:
-        used = parser.max_index
-        base_names = ()
-    count = n if n is not None else max(used, 1)
+    count = n if n is not None else max(parser.max_index, 1)
     check_var_count(count)
-    names = base_names + tuple(f"a{r}" for r in range(len(base_names) + 1, count + 1))
+    names = tuple(parser.named)  # empty for indexed variables
+    names += tuple(f"a{r}" for r in range(len(names) + 1, count + 1))
     return Formula(root, count, names)
+
+
+def _postorder(root: Node) -> Iterator[tuple[Node, bool | None]]:
+    """Every node after its operands, with whether its rhs came first.
+
+    A binary node visits a binary operand before a leaf or a negation, so
+    a caller that keeps one result per finished operand holds a few of
+    them on chains that nest either way, not one per level.
+    """
+    stack: list[tuple[Node, bool | None]] = [(root, None)]
+    while stack:
+        item = stack.pop()
+        node, rhs_first = item
+        cls = type(node)
+        if rhs_first is not None or cls is Var or cls is Const:
+            yield item
+        elif cls is Not:
+            stack += ((node, False), (node.arg, None))
+        elif cls in _BINARY_NODES:
+            lhs, rhs = node.lhs, node.rhs
+            if type(rhs) in _BINARY_NODES and type(lhs) not in _BINARY_NODES:
+                stack += ((node, True), (lhs, None), (rhs, None))
+            else:
+                stack += ((node, False), (rhs, None), (lhs, None))
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
 
 
 def eval_ast(f: Formula) -> BoolFunc:
@@ -347,54 +347,51 @@ def eval_ast(f: Formula) -> BoolFunc:
     ``BoolFunc`` is built from the result.
     """
     check_var_count(f.n)
-    return BoolFunc(f.n, _eval_node(f.root, f.n, _ones(f.n)))
-
-
-def _eval_node(node: Node, n: int, ones: int) -> int:
-    match node:
-        case Const(value=v):
-            return ones if v else 0
-        case Var(index=r):
-            _check_var(n, r)
-            return _var_tt(n, r)
-        case Not(arg=x):
-            return ones ^ _eval_node(x, n, ones)
-        case And(lhs=p, rhs=q):
-            return _eval_node(p, n, ones) & _eval_node(q, n, ones)
-        case Or(lhs=p, rhs=q):
-            return _eval_node(p, n, ones) | _eval_node(q, n, ones)
-        case Xor(lhs=p, rhs=q):
-            return _eval_node(p, n, ones) ^ _eval_node(q, n, ones)
-        case Implies(lhs=p, rhs=q):
-            return (ones ^ _eval_node(p, n, ones)) | _eval_node(q, n, ones)
-    raise TypeError(f"not a formula node: {node!r}")
+    n, ones = f.n, _ones(f.n)
+    values: list[int] = []
+    for node, rhs_first in _postorder(f.root):
+        cls = type(node)
+        if cls is Var:
+            _check_var(n, node.index)
+            values.append(_var_tt(n, node.index))
+        elif cls is Const:
+            values.append(ones if node.value else 0)
+        elif cls is Not:
+            values[-1] ^= ones
+        else:
+            q = values.pop()
+            p = values[-1]
+            if rhs_first:
+                p, q = q, p
+            if cls is And:
+                values[-1] = p & q
+            elif cls is Or:
+                values[-1] = p | q
+            elif cls is Xor:
+                values[-1] = p ^ q
+            else:
+                values[-1] = (ones ^ p) | q
+    return BoolFunc(n, values[0])
 
 
 def ast_flip(f: Formula, s: FlipMask | int) -> Formula:
     """Substitute each flipped variable by its negation, collapsing ``!!``."""
     mask = _mask_of(f.n, s)
     flipped = {r for r in range(1, f.n + 1) if (mask >> (r - 1)) & 1}
-    return Formula(_flip_node(f.root, flipped), f.n, f.names)
-
-
-def _flip_node(node: Node, flipped: set[int]) -> Node:
-    match node:
-        case Const():
-            return node
-        case Var(index=r):
-            return Not(node) if r in flipped else node
-        case Not(arg=x):
-            inner = _flip_node(x, flipped)
-            return inner.arg if isinstance(inner, Not) else Not(inner)
-        case And(lhs=p, rhs=q):
-            return And(_flip_node(p, flipped), _flip_node(q, flipped))
-        case Or(lhs=p, rhs=q):
-            return Or(_flip_node(p, flipped), _flip_node(q, flipped))
-        case Xor(lhs=p, rhs=q):
-            return Xor(_flip_node(p, flipped), _flip_node(q, flipped))
-        case Implies(lhs=p, rhs=q):
-            return Implies(_flip_node(p, flipped), _flip_node(q, flipped))
-    raise TypeError(f"not a formula node: {node!r}")
+    out: list[Node] = []
+    for node, rhs_first in _postorder(f.root):
+        cls = type(node)
+        if cls is Var:
+            out.append(Not(node) if node.index in flipped else node)
+        elif cls is Const:
+            out.append(node)
+        elif cls is Not:
+            inner = out[-1]
+            out[-1] = inner.arg if type(inner) is Not else Not(inner)
+        else:
+            rhs = out.pop()
+            out[-1] = cls(rhs, out[-1]) if rhs_first else cls(out[-1], rhs)
+    return Formula(out[0], f.n, f.names)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,7 @@ class Checker:
         self.failure: str | None = None
 
     def ok(self, condition: bool, detail: str | Callable[[], str]) -> bool:
-        self.checks += 1
-        if not condition and self.failure is None:
-            self.failure = detail() if callable(detail) else str(detail)
-        return bool(condition)
+        return self.bulk(1, condition, detail)
 
     def bulk(self, count: int, condition: bool, detail: str | Callable[[], str]) -> bool:
         """Record ``count`` homogeneous checks whose combined outcome is known."""

@@ -269,3 +269,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "tautology: true" in proc.stdout
+
+
+class TestDeepFormula:
+    @pytest.mark.parametrize("argv, deep, collapsed", [
+        (["canon"], " & ".join(["a1", "a2"] * 1500), "a1 & a2"),
+        (["count", "--json"], "!" * 3000 + "a1", "a1"),
+    ], ids=["canon_and_chain", "count_bang_run"])
+    def test_same_output_as_collapsed_formula(self, argv, deep, collapsed):
+        def cli(text):
+            return subprocess.run(
+                [sys.executable, "-m", "boolring.cli", *argv, "--formula", text, "--n", "2"],
+                capture_output=True,
+                text=True,
+            )
+
+        def without_input(out):
+            return [ln for ln in out.splitlines()
+                    if not ln.lstrip().startswith(("input:", '"input":'))]
+
+        got, want = cli(deep), cli(collapsed)
+        assert got.returncode == 0
+        assert "Traceback" not in got.stderr
+        assert want.returncode == 0
+        assert without_input(got.stdout) == without_input(want.stdout)
+        assert len(got.stdout.splitlines()) == len(want.stdout.splitlines())

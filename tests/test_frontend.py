@@ -180,6 +180,34 @@ class TestParser:
             parse_formula("a1 a2")
         assert exc.value.position == 3
 
+    @pytest.mark.parametrize("text, n, message, position", [
+        ("a1 $ a2", None, "unexpected character '$'", 3),
+        ("", None, "unexpected end of input", 0),
+        ("a1 &", None, "unexpected end of input", 4),
+        ("!", None, "unexpected end of input", 1),
+        ("(a1", None, "expected ')'", 3),
+        ("(a1 a2)", None, "expected ')'", 4),
+        ("(a1 (", None, "expected ')'", 4),
+        ("a1 a2", None, "unexpected 'a2'", 3),
+        ("a1 !a2", None, "unexpected '!'", 3),
+        ("a1)", None, "unexpected ')'", 2),
+        ("()", None, "unexpected ')'", 1),
+        ("& a1", None, "unexpected '&'", 0),
+        ("2", None, "constants are 0 and 1, got 2", 0),
+        ("a0", None, "variable indices start at a1", 0),
+        ("x & a1", None, "cannot mix indexed variables (a<k>) with named variables", 4),
+        ("a1 & x", None, "cannot mix indexed variables (a<k>) with named variables", 5),
+        ("a4", 3, "variable a4 beyond declared count 3", 0),
+        ("x | y | z", 2, "more than 2 distinct variables", 8),
+        ("a1 ^ a2 | a3", None, "mixing '|' and '^' needs parentheses", 8),
+        ("a1 -> a2 | a3 ^ a4", None, "mixing '|' and '^' needs parentheses", 14),
+    ])
+    def test_error_messages(self, text, n, message, position):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text, n)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
 
 class TestToText:
     def test_goldens(self):
@@ -266,6 +294,43 @@ class TestAstFlip:
         assert ast_flip(f, FlipMask(2, 1)) == ast_flip(f, 1)
         with pytest.raises(ValueError):
             ast_flip(f, FlipMask(3, 1))
+
+
+DEPTH = 20_000
+CHAIN = [f"a{k % 3 + 1}" for k in range(DEPTH - 1)] + ["a4"]  # a1, a2, a3, a1, ..., a4
+
+
+def deep_shapes():
+    """Shape name -> (text nested DEPTH deep over a1..a4, its truth vector)."""
+    a1, a2, a3, a4 = (var(4, r) for r in range(1, 5))
+    return {
+        "parens": ("(" * DEPTH + "a1" + ")" * DEPTH, a1),
+        "bangs_even": ("!" * DEPTH + "a1", a1),
+        "bangs_odd": ("!" * (DEPTH + 1) + "a1", ~a1),
+        "and_chain": (" & ".join(CHAIN), a1 & a2 & a3 & a4),
+        "or_chain": (" | ".join(CHAIN), a1 | a2 | a3 | a4),
+        "xor_chain": (" ^ ".join(CHAIN), a1 ^ a4),  # a1 occurs 6667 times, a2 and a3 6666
+        "implies_chain": (" -> ".join(CHAIN), ~(a1 & a2 & a3) | a4),
+        "right_nested_and": (" & (".join(CHAIN) + ")" * (DEPTH - 1), a1 & a2 & a3 & a4),
+    }
+
+
+DEEP_SHAPES = deep_shapes()
+
+
+class TestDeepInput:
+    """Nesting depth far past the interpreter's recursion limit.  Results are
+    compared as vectors and text: node equality itself still recurses."""
+
+    @pytest.mark.parametrize("shape", list(DEEP_SHAPES))
+    def test_eval_flip_and_render(self, shape):
+        text, want = DEEP_SHAPES[shape]
+        f = parse_formula(text, 4)
+        assert eval_ast(f) == want
+        for s in (0b0001, 0b1010, 0b1111):
+            assert eval_ast(ast_flip(f, s)) == apply_flip(want, s)
+        rendered = f.to_text()
+        assert parse_formula(rendered, 4).to_text() == rendered
 
 
 class TestCnfDoc:

@@ -4,9 +4,9 @@ Each transform holds a few 2**n-bit vectors at a time: its input, its
 result and the temporaries of one butterfly or XOR step.  The bound is
 eight vectors at n = 20; a route that builds one Python object per
 monomial or per index exceeds it by orders of magnitude.  The
-evaluators are held to the same bound: a 3-CNF of 4n clauses, and a
-formula of bounded depth, each keep a few vectors live, not one per
-literal or node.
+evaluators are held to the same bound: a 3-CNF of 4n clauses, a
+formula of bounded depth, and two 1000-deep chains that nest to the
+right, each keep a few vectors live, not one per literal, node or level.
 """
 
 import random
@@ -72,11 +72,18 @@ def bounded_formula(rng, n, depth):
     return f"({lhs}) {op} ({rhs})"
 
 
-@pytest.mark.parametrize("name", ["eval_cnf", "eval_ast"])
+@pytest.mark.parametrize("name", ["eval_cnf", "eval_ast", "eval_ast_implies_chain",
+                                  "eval_ast_right_nested"])
 def test_evaluator_peak_is_a_few_vectors(name):
     rng = random.Random(21)
     doc = random_3cnf(rng, N, 4 * N)
     formula = parse_formula(bounded_formula(rng, N, 4), N)
-    calls = {"eval_cnf": lambda: eval_cnf(doc), "eval_ast": lambda: eval_ast(formula)}
+    # 1000 operands each: every level has a negation or a variable beside a deeper operand
+    implies_chain = parse_formula(" -> ".join(f"!a{k % N + 1}" for k in range(1000)), N)
+    right_nested = parse_formula(
+        "".join(f"a{k % N + 1} & (" for k in range(999)) + "a1" + ")" * 999, N)
+    calls = {"eval_cnf": lambda: eval_cnf(doc), "eval_ast": lambda: eval_ast(formula),
+             "eval_ast_implies_chain": lambda: eval_ast(implies_chain),
+             "eval_ast_right_nested": lambda: eval_ast(right_nested)}
     peak = peak_bytes(calls[name])
     assert peak <= LIMIT_BYTES, f"{name} peaked at {peak / VECTOR_BYTES:.1f} vectors"
