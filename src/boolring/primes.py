@@ -50,14 +50,6 @@ class PrimeSet(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", _pack_bits(n, js))
 
-    @classmethod
-    def _of(cls, n: int, mask: int) -> PrimeSet:
-        """The index set with false-mask ``mask``, taken as already valid."""
-        ps = object.__new__(cls)
-        object.__setattr__(ps, "n", n)
-        object.__setattr__(ps, "mask", mask)
-        return ps
-
     @property
     def indices(self) -> frozenset[int]:
         """The maxterm indices."""

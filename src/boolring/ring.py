@@ -47,6 +47,7 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 _T = TypeVar("_T")
+_F = TypeVar("_F", bound="_Frozen")
 
 
 class SizeLimitError(ValueError):
@@ -127,7 +128,8 @@ class _Frozen:
     own ``__init__`` through ``object.__setattr__``.  The base takes
     ``__match_args__`` from the slots and supplies equality with
     instances of the same class, the hash of the field tuple, the repr
-    ``Name(field=value, ...)`` and copy and pickle support; any later
+    ``Name(field=value, ...)``, copy and pickle support and ``_of``, which
+    builds an instance from fields without checking them; any later
     write or delete raises ``dataclasses.FrozenInstanceError``.
     """
 
@@ -171,6 +173,13 @@ class _Frozen:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__match_args__, state):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls: type[_F], *values: object) -> _F:
+        """The instance with the given field values, taken as already valid."""
+        obj = object.__new__(cls)
+        obj.__setstate__(values)
+        return obj
 
 
 class BoolFunc(_Frozen):
@@ -314,14 +323,6 @@ class Anf(_Frozen):
             masks.append(m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", _pack_bits(n, masks))
-
-    @classmethod
-    def _of(cls, n: int, mask: int) -> Anf:
-        """The polynomial with monomial mask ``mask``, taken as already valid."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "mask", mask)
-        return p
 
     @property
     def monomials(self) -> frozenset[frozenset[int]]:

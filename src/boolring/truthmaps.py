@@ -2,19 +2,22 @@
 
 A 0/1-valued map on the whole function space respects sums and products
 only if it is evaluation at one fixed assignment.
-``enumerate_allowed_maps`` recovers that fact by brute force at small
-sizes: it scans every candidate map and keeps those that route sums
-through ``ADD_TABLE`` and products through ``MUL_TABLE``.
+``enumerate_allowed_maps`` recovers that fact by an exhaustive scan at
+small sizes: it tests every candidate map and keeps those that route
+sums through ``ADD_TABLE`` and products through ``MUL_TABLE``.  The scan
+is bit-sliced: the candidate maps are the bits of one packed vector, so
+each test is a few big-int passes over all of them at once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import repeat
+from operator import and_, xor
 
 from .ring import (
     BoolFunc, check_var_count, _Frozen, _check_cap, _check_index, _check_var, _chunk_tables,
-    _set_bits,
+    _ones, _set_bits, _var_tt,
 )
 
 __all__ = [
@@ -46,14 +49,6 @@ class Assignment(_Frozen):
         _check_index(n, index)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "index", index)
-
-    @classmethod
-    def _of(cls, n: int, index: int) -> Assignment:
-        """Assignment ``index`` of ``n`` variables, taken as already valid."""
-        a = object.__new__(cls)
-        object.__setattr__(a, "n", n)
-        object.__setattr__(a, "index", index)
-        return a
 
     def value(self, r: int) -> int:
         """Truth value given to variable r."""
@@ -143,23 +138,37 @@ def enumerate_allowed_maps(n: int) -> AllowedMapTable:
     out the everywhere-zero map) and must route every sum through
     ``ADD_TABLE`` and every product through ``MUL_TABLE``.
 
-    Deliberately brute force: the scan is a verification oracle, not a
+    The scan is exhaustive and bit-sliced: a set of candidates is itself
+    a packed vector with one bit per candidate.  Candidate c sends the
+    function with vector t to bit t of c, so the candidates that send t
+    to 1 form the variable vector ``_var_tt(size, t + 1)``.  Each pair
+    of functions then costs a few big-int passes that test every
+    candidate at once.  The scan is a verification oracle, not a
     production path, which is why it is capped at n <= 2.
     """
     _check_cap(n, 2, "exhaustive map search")
     size = 1 << (1 << n)  # number of functions over n variables
+    every = _ones(size)  # one bit per candidate map
+    # sends[t][v]: the candidates that send the function with vector t to v
+    sends = [(every ^ x, x) for x in (_var_tt(size, t + 1) for t in range(size))]
     # the adopted normalization pins the constants: 0 maps to 0, 1 maps to 1
     # (without it the everywhere-zero map would also survive the scan)
-    kept = [
-        cand
-        for cand in range(1 << size)
-        if not cand & 1
-        and (cand >> (size - 1)) & 1
-        and _compositional(cand, size)
+    kept = sends[0][0] & sends[size - 1][1]
+    rules = [
+        (op, [(i, j) for i in (0, 1) for j in (0, 1) if table[i][j]])
+        for op, table in ((xor, ADD_TABLE), (and_, MUL_TABLE))
     ]
+    for a in range(size):
+        for b in range(a, size):
+            for op, cells in rules:
+                # the candidates whose table sends the images of a and b to 1
+                image = 0
+                for i, j in cells:
+                    image |= sends[a][i] & sends[b][j]
+                kept &= sends[op(a, b)][0] ^ image  # image of op(a, b) agrees
     # order the survivors by the single minterm each one sends to 1
     by_index: dict[int, int] = {}
-    for cand in kept:
+    for cand in _set_bits(kept):
         hot = [k for k in range(1 << n) if (cand >> (1 << k)) & 1]
         if len(hot) != 1 or hot[0] in by_index:
             raise AssertionError("surviving map does not select exactly one minterm")
@@ -170,15 +179,3 @@ def enumerate_allowed_maps(n: int) -> AllowedMapTable:
         tuple((by_index[k] >> t) & 1 for t in range(size)) for k in range(1 << n)
     )
     return AllowedMapTable(n, maps)
-
-
-def _compositional(cand: int, size: int) -> bool:
-    for a in range(size):
-        ta = (cand >> a) & 1
-        for b in range(a, size):
-            tb = (cand >> b) & 1
-            if (cand >> (a ^ b)) & 1 != ADD_TABLE[ta][tb]:
-                return False
-            if (cand >> (a & b)) & 1 != MUL_TABLE[ta][tb]:
-                return False
-    return True

@@ -172,6 +172,11 @@ class TestVerify:
             assert code == 0, flag
             assert "PASS" in out
 
+    def test_tiv_under_a_variable_cap_of_two(self, capsys):
+        code, out, _ = run(capsys, "verify", "--tiv", "--n", "2", "--max-vars", "2")
+        assert code == 0
+        assert "TIV n=2 PASS checks=82" in out
+
     def test_over_cap_refused(self, capsys):
         code, _, err = run(capsys, "verify", "--tiv", "--n", "3")
         assert code == 3

@@ -6,8 +6,9 @@ pairwise monomial multiplication, clause widening one variable at a
 time, maxterm products and minterm sums, the arithmetic form of the
 flip map, per-bit scans, text rendered one variable at a time, the
 former byte-wise sort key of the polynomial text, formula trees and
-clauses evaluated once per assignment, and source-level evaluation and
-flips of CNF documents.  Each is compared with the production route
+clauses evaluated once per assignment, source-level evaluation and
+flips of CNF documents, and the allowed-map search run one candidate
+map at a time.  Each is compared with the production route
 by exact equality, exhaustively at small n and with Hypothesis and
 seeded vectors above.
 """
@@ -20,7 +21,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boolring.truthmaps as truthmaps
 from boolring import (
+    AllowedMapTable,
     Anf,
     Assignment,
     BoolFunc,
@@ -35,6 +38,7 @@ from boolring import (
     cnf_to_primes,
     compose,
     decompose,
+    enumerate_allowed_maps,
     eval_ast,
     eval_cnf,
     from_anf,
@@ -239,6 +243,40 @@ def cnf_formula_text(doc):
             return "0"
         return "(" + " | ".join(f"a{lit}" if lit > 0 else f"!a{-lit}" for lit in cl) + ")"
     return " & ".join(clause(cl) for cl in doc.clauses) or "1"
+
+
+def ref_compositional(cand, size):
+    """Whether candidate map ``cand`` (function t goes to bit t) routes every
+    sum and product through the module's tables, one pair at a time."""
+    for a in range(size):
+        ta = (cand >> a) & 1
+        for b in range(a, size):
+            tb = (cand >> b) & 1
+            if (cand >> (a ^ b)) & 1 != truthmaps.ADD_TABLE[ta][tb]:
+                return False
+            if (cand >> (a & b)) & 1 != truthmaps.MUL_TABLE[ta][tb]:
+                return False
+    return True
+
+
+def ref_allowed_maps(n):
+    """The allowed-map search, one candidate map at a time."""
+    size = 1 << (1 << n)
+    kept = [
+        cand
+        for cand in range(1 << size)
+        if not cand & 1 and (cand >> (size - 1)) & 1 and ref_compositional(cand, size)
+    ]
+    by_index = {}
+    for cand in kept:
+        hot = [k for k in range(1 << n) if (cand >> (1 << k)) & 1]
+        if len(hot) != 1 or hot[0] in by_index:
+            raise AssertionError("surviving map does not select exactly one minterm")
+        by_index[hot[0]] = cand
+    if sorted(by_index) != list(range(1 << n)):
+        raise AssertionError("surviving maps do not cover every assignment")
+    maps = tuple(tuple((by_index[k] >> t) & 1 for t in range(size)) for k in range(1 << n))
+    return AllowedMapTable(n, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -737,3 +775,21 @@ class TestSetBitsRoutes:
         rng = random.Random(24)
         positions = sorted(rng.sample(range(1 << 24), 300) + [0, (1 << 24) - 1])
         assert _set_bits(pack(positions)) == positions
+
+
+class TestAllowedMapRoutes:
+    """The bit-sliced scan, which tests every candidate map at once, against
+    the scan that tests one candidate map at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_scans_agree(self, n):
+        assert enumerate_allowed_maps(n) == ref_allowed_maps(n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_changed_table_fails_both_scans_alike(self, n, monkeypatch):
+        monkeypatch.setattr(truthmaps, "MUL_TABLE", ((0, 1), (1, 1)))  # the OR table
+        with pytest.raises(AssertionError) as fast:
+            enumerate_allowed_maps(n)
+        with pytest.raises(AssertionError) as slow:
+            ref_allowed_maps(n)
+        assert str(fast.value) == str(slow.value)

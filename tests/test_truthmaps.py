@@ -6,6 +6,7 @@ import pytest
 
 from boolring import (
     ADD_TABLE,
+    DEFAULT_MAX_VARS,
     MUL_TABLE,
     Assignment,
     BoolFunc,
@@ -19,7 +20,9 @@ from boolring import (
     or_,
     prime,
     satisfying_assignments,
+    set_max_vars,
     var,
+    verify_tiv,
     zero,
 )
 
@@ -137,3 +140,13 @@ class TestAllowedMaps:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             enumerate_allowed_maps(3)
+
+    def test_under_a_variable_cap_of_two(self):
+        # the scan's 2**2**n candidates are one vector over 2**n "variables";
+        # building it must not go through the capped public constructors
+        set_max_vars(2)
+        try:
+            assert len(enumerate_allowed_maps(2).maps) == 4
+            assert verify_tiv(2).passed
+        finally:
+            set_max_vars(DEFAULT_MAX_VARS)

@@ -160,6 +160,22 @@ class TestValueContract:
         assert positional(a, len(fields)) == field_tuple(a, fields)
 
 
+# classes with a validation-free constructor: the fields it takes and the
+# value the validating constructor builds from the same data
+OF_CASES = [
+    (Anf, (2, 10), Anf(2, [[1], [1, 2]])),
+    (PrimeSet, (2, 9), PrimeSet(2, [0, 3])),
+    (Assignment, (2, 3), Assignment(2, 3)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, built", OF_CASES, ids=[c[0].__name__ for c in OF_CASES])
+def test_of_matches_constructor(cls, fields, built):
+    value = cls._of(*fields)
+    assert type(value) is cls
+    assert value == built and hash(value) == hash(built)
+
+
 def test_match_tells_node_classes_apart():
     def kind(node):
         match node:
