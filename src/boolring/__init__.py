@@ -4,144 +4,56 @@ Functions of n variables form a ring under XOR and AND; this package
 represents them as 2**n-bit integers and builds prime (maxterm)
 decomposition, exact model counting, variable-flip symmetries, text
 frontends, and a verification suite on top of that representation.
+
+``import boolring`` loads no submodule: each public name is imported
+from its home module on first access (PEP 562), so a process compiles
+only the modules it uses.
 """
 
-from .ring import (
-    DEFAULT_MAX_VARS,
-    Anf,
-    BoolFunc,
-    SizeLimitError,
-    add,
-    from_anf,
-    get_max_vars,
-    mul,
-    neg,
-    one,
-    or_,
-    set_max_vars,
-    to_anf,
-    var,
-    zero,
-)
-from .primes import (
-    LiteralProduct,
-    PrimeSet,
-    basis,
-    clause_text,
-    compose,
-    decompose,
-    literal_form,
-    minterm_text,
-    orthogonal,
-    prime,
-)
-from .truthmaps import (
-    ADD_TABLE,
-    MUL_TABLE,
-    AllowedMapTable,
-    Assignment,
-    count_models,
-    enumerate_allowed_maps,
-    eval_at,
-    satisfying_assignments,
-)
-from .flipgroup import (
-    GROUP_CHECK_LIMIT,
-    FlipMask,
-    apply_flip,
-    conservation_check,
-    flip_group_check,
-    pi,
-)
-from .frontend import (
-    CnfDoc,
-    DimacsError,
-    Formula,
-    FormulaSyntaxError,
-    ast_flip,
-    clause_blowup,
-    cnf_flip,
-    cnf_to_primes,
-    eval_ast,
-    eval_cnf,
-    minterm_dnf_text,
-    parse_dimacs,
-    parse_formula,
-    prime_cnf_text,
-    to_dimacs,
-)
-from .report import Report
-from .theorems import (
-    THEOREM_CAPS,
-    verify_resolution,
-    verify_ti,
-    verify_tii_tiii,
-    verify_tiv,
-    verify_tv,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_MAX_VARS",
-    "GROUP_CHECK_LIMIT",
-    "THEOREM_CAPS",
-    "ADD_TABLE",
-    "MUL_TABLE",
-    "Anf",
-    "AllowedMapTable",
-    "Assignment",
-    "BoolFunc",
-    "CnfDoc",
-    "DimacsError",
-    "FlipMask",
-    "Formula",
-    "FormulaSyntaxError",
-    "LiteralProduct",
-    "PrimeSet",
-    "Report",
-    "SizeLimitError",
-    "add",
-    "apply_flip",
-    "ast_flip",
-    "basis",
-    "clause_blowup",
-    "clause_text",
-    "cnf_flip",
-    "cnf_to_primes",
-    "compose",
-    "conservation_check",
-    "count_models",
-    "decompose",
-    "enumerate_allowed_maps",
-    "eval_ast",
-    "eval_at",
-    "eval_cnf",
-    "flip_group_check",
-    "from_anf",
-    "get_max_vars",
-    "literal_form",
-    "minterm_dnf_text",
-    "minterm_text",
-    "mul",
-    "neg",
-    "one",
-    "or_",
-    "orthogonal",
-    "parse_dimacs",
-    "parse_formula",
-    "pi",
-    "prime",
-    "prime_cnf_text",
-    "satisfying_assignments",
-    "set_max_vars",
-    "to_anf",
-    "to_dimacs",
-    "var",
-    "verify_resolution",
-    "verify_ti",
-    "verify_tii_tiii",
-    "verify_tiv",
-    "verify_tv",
-    "zero",
-]
+# home module of every public name
+_EXPORTS = {
+    "ring": (
+        "DEFAULT_MAX_VARS", "Anf", "BoolFunc", "SizeLimitError", "add", "from_anf",
+        "get_max_vars", "mul", "neg", "one", "or_", "set_max_vars", "to_anf", "var", "zero",
+    ),
+    "primes": (
+        "LiteralProduct", "PrimeSet", "basis", "clause_text", "compose", "decompose",
+        "literal_form", "minterm_text", "orthogonal", "prime",
+    ),
+    "truthmaps": (
+        "ADD_TABLE", "MUL_TABLE", "AllowedMapTable", "Assignment", "count_models",
+        "enumerate_allowed_maps", "eval_at", "satisfying_assignments",
+    ),
+    "flipgroup": ("FlipMask", "apply_flip", "pi"),
+    "frontend": (
+        "CnfDoc", "DimacsError", "Formula", "FormulaSyntaxError", "ast_flip", "clause_blowup",
+        "cnf_flip", "cnf_to_primes", "eval_ast", "eval_cnf", "minterm_dnf_text",
+        "parse_dimacs", "parse_formula", "prime_cnf_text", "to_dimacs",
+    ),
+    "report": ("Report",),
+    "theorems": (
+        "GROUP_CHECK_LIMIT", "THEOREM_CAPS", "conservation_check", "flip_group_check",
+        "verify_resolution", "verify_ti", "verify_tii_tiii", "verify_tiv", "verify_tv",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

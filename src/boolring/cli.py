@@ -5,40 +5,27 @@ Subcommands: canon (canonical forms), count (model counting), expand
 check), verify (the built-in check suite), taut (tautology test).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 size-cap refusal.  Output is deterministic for a given input; --json
-emits the same fields as the text form.
+3 size-cap refusal, also when the truth vector is too large to build
+(OverflowError or MemoryError, as with a raised --max-vars).  Output is
+deterministic for a given input; --json emits the same fields as the
+text form.
+
+Each subcommand imports only the modules it runs: verify does not load
+the text frontend, and the others do not load the verification suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .flipgroup import FlipMask, GROUP_CHECK_LIMIT, apply_flip, flip_group_check
-from .frontend import (
-    CnfDoc,
-    Formula,
-    ast_flip,
-    cnf_flip,
-    eval_ast,
-    eval_cnf,
-    parse_dimacs,
-    parse_formula,
-    prime_cnf_text,
-    to_dimacs,
-)
 from .primes import decompose
 from .ring import BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf, _set_bits
-from .theorems import (
-    THEOREM_CAPS,
-    verify_resolution,
-    verify_ti,
-    verify_tii_tiii,
-    verify_tiv,
-    verify_tv,
-)
 from .truthmaps import count_models, satisfying_assignments
+
+if TYPE_CHECKING:
+    from .frontend import CnfDoc, Formula
 
 __all__ = ["main"]
 
@@ -65,6 +52,8 @@ def _emit(fields: dict[str, Any], as_json: bool) -> None:
 
 def _load(args: argparse.Namespace) -> tuple[BoolFunc, dict[str, Any], Formula | CnfDoc]:
     """Read the input, returning its truth vector and source description."""
+    from .frontend import eval_ast, eval_cnf, parse_dimacs, parse_formula
+
     if getattr(args, "formula", None) is not None:
         f = parse_formula(args.formula, args.n)
         return eval_ast(f), {"input": args.formula, "format": "formula"}, f
@@ -105,6 +94,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from .frontend import prime_cnf_text
+
     func, meta, doc = _load(args)
     ps = decompose(func)
     fields = dict(meta)
@@ -120,6 +111,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_flip(args: argparse.Namespace) -> int:
+    from .flipgroup import FlipMask, apply_flip
+    from .frontend import Formula, ast_flip, cnf_flip, to_dimacs
+
     func, meta, source = _load(args)
     mask = FlipMask.parse(args.flip, func.n)
     flipped = apply_flip(func, mask)
@@ -142,21 +136,24 @@ def _cmd_flip(args: argparse.Namespace) -> int:
     return 0 if fields["counts_equal"] else 1
 
 
-# each check: its argparse dest, its cap on --n (None: the check ignores --n), its function
-_CHECKS: dict[str, tuple[str, int | None, Callable[[int], Any]]] = {
-    "TI": ("ti", THEOREM_CAPS["TI"], verify_ti),
-    "TII+TIII": ("tii", THEOREM_CAPS["TII+TIII"], verify_tii_tiii),
-    "TIV": ("tiv", THEOREM_CAPS["TIV"], verify_tiv),
-    "TV": ("tv", THEOREM_CAPS["TV"], verify_tv),
-    "flip-group": ("flip_group", GROUP_CHECK_LIMIT, flip_group_check),
-    "resolution": ("resolution", None, lambda n: verify_resolution()),
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .theorems import (
+        GROUP_CHECK_LIMIT, THEOREM_CAPS, flip_group_check, verify_resolution, verify_ti,
+        verify_tii_tiii, verify_tiv, verify_tv,
+    )
+
+    # each check: its argparse dest, its cap on --n (None: the check ignores --n), its function
+    checks = {
+        "TI": ("ti", THEOREM_CAPS["TI"], verify_ti),
+        "TII+TIII": ("tii", THEOREM_CAPS["TII+TIII"], verify_tii_tiii),
+        "TIV": ("tiv", THEOREM_CAPS["TIV"], verify_tiv),
+        "TV": ("tv", THEOREM_CAPS["TV"], verify_tv),
+        "flip-group": ("flip_group", GROUP_CHECK_LIMIT, flip_group_check),
+        "resolution": ("resolution", None, lambda n: verify_resolution()),
+    }
     selected = [
         (name, cap, check)
-        for name, (dest, cap, check) in _CHECKS.items()
+        for name, (dest, cap, check) in checks.items()
         if args.all or getattr(args, dest)
     ]
     if not selected:
@@ -260,6 +257,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except SizeLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except (OverflowError, MemoryError) as exc:
+        # a cap raised past what memory holds: the 2**n-bit vector cannot be made
+        print(f"refused: truth vector too large to build ({type(exc).__name__})", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

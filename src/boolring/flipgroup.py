@@ -8,26 +8,10 @@ they permute minterms and maxterms, so they preserve model counts.
 
 from __future__ import annotations
 
-import random
-import time
+from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _ones, _var_tt
+from .truthmaps import Assignment, _index_of
 
-from .primes import prime
-from .report import Checker, Report
-from .ring import (
-    BoolFunc, check_var_count, _Frozen, _check_cap, _check_index, _check_var, _ones, _var_tt,
-)
-from .truthmaps import Assignment, count_models, _index_of
-
-__all__ = [
-    "GROUP_CHECK_LIMIT",
-    "FlipMask",
-    "apply_flip",
-    "pi",
-    "flip_group_check",
-    "conservation_check",
-]
-
-GROUP_CHECK_LIMIT = 6
+__all__ = ["FlipMask", "apply_flip", "pi"]
 
 
 class FlipMask(_Frozen):
@@ -117,61 +101,3 @@ def pi(s: FlipMask | int, j: Assignment | int, n: int | None = None) -> Assignme
     else:
         raise ValueError("variable count required when both arguments are plain ints")
     return Assignment._of(n, _mask_of(n, s) ^ _index_of(n, j))
-
-
-def flip_group_check(n: int, rng: random.Random | None = None) -> Report:
-    """Exercise the group laws of the flips on sample functions.
-
-    Checks the identity flip, self-inverses, composition by mask XOR,
-    and that each flip permutes the maxterms the same way it permutes
-    assignment indices.  Exhaustive over the whole function space for
-    n <= 3, seeded random samples above that.
-    """
-    _check_cap(n, GROUP_CHECK_LIMIT, "group check")
-    started = time.perf_counter()
-    chk = Checker()
-    size = 1 << n
-    if n <= 3:
-        sample = [BoolFunc(n, t) for t in range(1 << size)]
-    else:
-        rng = rng or random.Random(0x5EED)
-        sample = [BoolFunc(n, rng.getrandbits(size)) for _ in range(48)]
-
-    for a in sample:
-        chk.ok(apply_flip(a, 0) == a, lambda a=a: f"identity flip changed {a}")
-    for s in range(size):
-        for a in sample:
-            chk.ok(
-                apply_flip(apply_flip(a, s), s) == a,
-                lambda s=s, a=a: f"flip {s} applied twice changed {a}",
-            )
-    pair_sample = sample if n <= 2 else sample[:8]
-    for s in range(size):
-        for t in range(size):
-            want_mask = s ^ t
-            for a in pair_sample:
-                chk.ok(
-                    apply_flip(apply_flip(a, t), s) == apply_flip(a, want_mask),
-                    lambda s=s, t=t, a=a: f"flip {s} after flip {t} is not flip {s ^ t} on {a}",
-                )
-    for s in range(size):
-        for j in range(size):
-            chk.ok(
-                apply_flip(prime(n, j), s) == prime(n, pi(s, j, n).index),
-                lambda s=s, j=j: f"flip {s} does not send maxterm {j} to maxterm {s ^ j}",
-            )
-    return chk.report("flip-group", n, started)
-
-
-def conservation_check(a: BoolFunc) -> Report:
-    """Model count of ``a`` is unchanged by every one of the 2**n flips."""
-    started = time.perf_counter()
-    chk = Checker()
-    want = count_models(a)
-    for s in range(1 << a.n):
-        got = count_models(apply_flip(a, s))
-        chk.ok(
-            got == want,
-            lambda s=s, got=got, want=want: f"mask {s}: count {got} != {want}",
-        )
-    return chk.report("conservation", a.n, started)

@@ -16,6 +16,8 @@ checked by exhaustion at small variable counts:
         single-variable functions, whose full-width products rebuild
         every minterm.
 
+``flip_group_check`` and ``conservation_check`` check that the variable
+flips form a group acting on the maxterms and keep model counts, and
 ``verify_resolution`` replays a classical cut-rule derivation entirely
 inside the ring.  Each check returns a deterministic ``Report`` and uses
 only public operations of the package, so the suite doubles as an
@@ -27,6 +29,7 @@ from __future__ import annotations
 import random
 import time
 
+from .flipgroup import apply_flip, pi
 from .primes import basis, compose, decompose, prime
 from .report import Checker, Report
 from .ring import BoolFunc, one, var, zero, _check_cap
@@ -38,11 +41,15 @@ __all__ = [
     "verify_tiv",
     "verify_tv",
     "verify_resolution",
+    "flip_group_check",
+    "conservation_check",
     "THEOREM_CAPS",
+    "GROUP_CHECK_LIMIT",
 ]
 
 # largest n each check is willing to enumerate
 THEOREM_CAPS = {"TI": 3, "TII+TIII": 3, "TIV": 2, "TV": 6}
+GROUP_CHECK_LIMIT = 6
 
 
 def verify_ti(n: int, rng: random.Random | None = None) -> Report:
@@ -225,3 +232,66 @@ def verify_resolution() -> Report:
     chk.ok(count_models(conclusion) == 6,
            lambda: f"conclusion has {count_models(conclusion)} models, expected 6")
     return chk.report("resolution", n, started)
+
+
+def flip_group_check(n: int, rng: random.Random | None = None) -> Report:
+    """Exercise the group laws of the flips on sample functions.
+
+    Checks the identity flip, self-inverses, composition by mask XOR,
+    and that each flip permutes the maxterms the same way it permutes
+    assignment indices.  Exhaustive over the whole function space for
+    n <= 3, seeded random samples above that.
+    """
+    _check_cap(n, GROUP_CHECK_LIMIT, "group check")
+    started = time.perf_counter()
+    chk = Checker()
+    size = 1 << n
+    if n <= 3:
+        sample = [BoolFunc(n, t) for t in range(1 << size)]
+    else:
+        rng = rng or random.Random(0x5EED)
+        sample = [BoolFunc(n, rng.getrandbits(size)) for _ in range(48)]
+
+    for a in sample:
+        chk.ok(apply_flip(a, 0) == a, lambda a=a: f"identity flip changed {a}")
+    for s in range(size):
+        for a in sample:
+            chk.ok(
+                apply_flip(apply_flip(a, s), s) == a,
+                lambda s=s, a=a: f"flip {s} applied twice changed {a}",
+            )
+    pair_sample = sample if n <= 2 else sample[:8]
+    for s in range(size):
+        for t in range(size):
+            want_mask = s ^ t
+            for a in pair_sample:
+                chk.ok(
+                    apply_flip(apply_flip(a, t), s) == apply_flip(a, want_mask),
+                    lambda s=s, t=t, a=a: f"flip {s} after flip {t} is not flip {s ^ t} on {a}",
+                )
+    for s in range(size):
+        for j in range(size):
+            chk.ok(
+                apply_flip(prime(n, j), s) == prime(n, pi(s, j, n).index),
+                lambda s=s, j=j: f"flip {s} does not send maxterm {j} to maxterm {s ^ j}",
+            )
+    return chk.report("flip-group", n, started)
+
+
+def conservation_check(a: BoolFunc) -> Report:
+    """Model count of ``a`` is unchanged by every one of the 2**n flips.
+
+    Each flip moves a whole 2**n-bit vector, so the check costs O(4**n)
+    and is capped at n <= 14 (about 0.6 s there).
+    """
+    _check_cap(a.n, 14, "conservation check")
+    started = time.perf_counter()
+    chk = Checker()
+    want = count_models(a)
+    for s in range(1 << a.n):
+        got = count_models(apply_flip(a, s))
+        chk.ok(
+            got == want,
+            lambda s=s, got=got, want=want: f"mask {s}: count {got} != {want}",
+        )
+    return chk.report("conservation", a.n, started)

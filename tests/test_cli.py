@@ -248,6 +248,14 @@ class TestErrors:
         assert code == 3
         assert get_max_vars() == DEFAULT_MAX_VARS
 
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_vector_too_large_to_build_is_refused(self, capsys, n):
+        # n=64 raises MemoryError and n=70 OverflowError, both before anything is allocated
+        code, out, err = run(capsys, "count", "--formula", "a1", "--n", str(n), "--max-vars", "100")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: ") and err.count("\n") == 1
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,0 +1,104 @@
+"""Layering: the operations modules do not depend on the verification
+suite, the package imports nothing until a name is used, and each CLI
+subcommand loads only the modules it runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import boolring
+
+SRC = Path(boolring.__file__).resolve().parent
+OPERATIONS = ["flipgroup.py", "frontend.py", "primes.py", "ring.py", "truthmaps.py"]
+
+PUBLIC_NAMES = {
+    "ADD_TABLE", "AllowedMapTable", "Anf", "Assignment", "BoolFunc", "CnfDoc",
+    "DEFAULT_MAX_VARS", "DimacsError", "FlipMask", "Formula", "FormulaSyntaxError",
+    "GROUP_CHECK_LIMIT", "LiteralProduct", "MUL_TABLE", "PrimeSet", "Report",
+    "SizeLimitError", "THEOREM_CAPS", "add", "apply_flip", "ast_flip", "basis",
+    "clause_blowup", "clause_text", "cnf_flip", "cnf_to_primes", "compose",
+    "conservation_check", "count_models", "decompose", "enumerate_allowed_maps", "eval_ast",
+    "eval_at", "eval_cnf", "flip_group_check", "from_anf", "get_max_vars", "literal_form",
+    "minterm_dnf_text", "minterm_text", "mul", "neg", "one", "or_", "orthogonal",
+    "parse_dimacs", "parse_formula", "pi", "prime", "prime_cnf_text",
+    "satisfying_assignments", "set_max_vars", "to_anf", "to_dimacs", "var",
+    "verify_resolution", "verify_ti", "verify_tii_tiii", "verify_tiv", "verify_tv", "zero",
+}
+
+
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports boolring from this checkout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_operations_do_not_import_the_verification_layer():
+    for name in OPERATIONS:
+        text = (SRC / name).read_text(encoding="utf-8")
+        assert "from .theorems" not in text and "from .report" not in text, name
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _python(
+        "import sys, boolring; "
+        "print(' '.join(m for m in sys.modules if m.startswith('boolring.')))"
+    )
+    assert loaded == []
+
+
+_RUN_SUBCOMMAND = """\
+import runpy, sys
+sys.argv = ["boolring", *sys.argv[1:]]
+try:
+    runpy.run_module("boolring.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, *(m for m in sys.modules if m.startswith("boolring.")))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["canon", "--formula", "a1 & a2"],
+    ["count", "--formula", "a1 | a2"],
+    ["expand", "--dimacs", "PATH"],
+    ["flip", "--formula", "a1 -> a2", "--flip", "a1"],
+    ["taut", "--formula", "a1 | !a1"],
+    ["verify", "--all"],
+], ids=lambda argv: argv[0])
+def test_subcommand_loads_only_its_layer(tmp_path, argv):
+    cnf = tmp_path / "premise.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n", encoding="utf-8")
+    argv = [str(cnf) if a == "PATH" else a for a in argv]
+    code, *loaded = _python(_RUN_SUBCOMMAND, *argv)
+    assert code == "0"
+    assert "boolring.ring" in loaded
+    if argv[0] == "verify":
+        assert "boolring.frontend" not in loaded
+    else:
+        assert not {"boolring.theorems", "boolring.report"} & set(loaded)
+
+
+def test_namespace():
+    assert set(boolring.__all__) == PUBLIC_NAMES
+    assert len(boolring.__all__) == len(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        getattr(boolring, name)
+    assert set(dir(boolring)) >= PUBLIC_NAMES
+    with pytest.raises(AttributeError, match="no_such_name"):
+        boolring.no_such_name
+    namespace = {}
+    exec("from boolring import *", namespace)
+    assert PUBLIC_NAMES <= set(namespace)
+
+
+def test_submodules_resolve_after_a_bare_import():
+    found = _python(
+        "import boolring; "
+        "print(boolring.theorems.__name__, boolring.frontend.parse_formula.__module__)"
+    )
+    assert found == ["boolring.theorems", "boolring.frontend"]

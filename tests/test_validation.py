@@ -27,6 +27,7 @@ from boolring import (
     clause_text,
     cnf_flip,
     compose,
+    conservation_check,
     enumerate_allowed_maps,
     eval_at,
     flip_group_check,
@@ -94,6 +95,7 @@ CASES = [
     ("enumerate_allowed_maps(3)", lambda: enumerate_allowed_maps(3), SizeLimitError),
     ("flip_group_check(True)", lambda: flip_group_check(True), TypeError),
     ("flip_group_check(7)", lambda: flip_group_check(7), SizeLimitError),
+    ("conservation_check(n=15)", lambda: conservation_check(BoolFunc(15, 0)), SizeLimitError),
     ("verify_ti(True)", lambda: verify_ti(True), TypeError),
     ("verify_ti(4)", lambda: verify_ti(4), SizeLimitError),
     ("verify_tii_tiii(True)", lambda: verify_tii_tiii(True), TypeError),
