@@ -21,13 +21,10 @@ _EXPORTS = {
         "get_max_vars", "mul", "neg", "one", "or_", "set_max_vars", "to_anf", "var", "zero",
     ),
     "primes": (
-        "LiteralProduct", "PrimeSet", "basis", "clause_text", "compose", "decompose",
-        "literal_form", "minterm_text", "orthogonal", "prime",
+        "LiteralProduct", "PrimeSet", "clause_text", "compose", "decompose", "literal_form",
+        "minterm_text", "orthogonal", "prime",
     ),
-    "truthmaps": (
-        "ADD_TABLE", "MUL_TABLE", "AllowedMapTable", "Assignment", "count_models",
-        "enumerate_allowed_maps", "eval_at", "satisfying_assignments",
-    ),
+    "truthmaps": ("Assignment", "count_models", "eval_at", "satisfying_assignments"),
     "flipgroup": ("FlipMask", "apply_flip", "pi"),
     "frontend": (
         "CnfDoc", "DimacsError", "Formula", "FormulaSyntaxError", "ast_flip", "clause_blowup",
@@ -36,8 +33,9 @@ _EXPORTS = {
     ),
     "report": ("Report",),
     "theorems": (
-        "GROUP_CHECK_LIMIT", "THEOREM_CAPS", "conservation_check", "flip_group_check",
-        "verify_resolution", "verify_ti", "verify_tii_tiii", "verify_tiv", "verify_tv",
+        "ADD_TABLE", "MUL_TABLE", "AllowedMapTable", "GROUP_CHECK_LIMIT", "THEOREM_CAPS", "basis",
+        "conservation_check", "enumerate_allowed_maps", "flip_group_check", "verify_resolution",
+        "verify_ti", "verify_tii_tiii", "verify_tiv", "verify_tv",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,7 +21,9 @@ import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .primes import decompose
-from .ring import BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf, _set_bits
+from .ring import (
+    BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf, _decimal, _set_bits,
+)
 from .truthmaps import count_models, satisfying_assignments
 
 if TYPE_CHECKING:
@@ -192,9 +194,9 @@ def _add_common(sub: argparse.ArgumentParser, dimacs_only: bool = False) -> None
     if not dimacs_only:
         group.add_argument("--formula", help="formula text, e.g. '(a1 | a2) & !a3'")
     group.add_argument("--dimacs", metavar="PATH", help="path to a DIMACS CNF file")
-    sub.add_argument("--n", type=int, default=None,
+    sub.add_argument("--n", type=_decimal, default=None,
                      help="variable count for formula input (default: inferred)")
-    sub.add_argument("--max-vars", type=int, default=None,
+    sub.add_argument("--max-vars", type=_decimal, default=None,
                      help="override the variable cap (default 24)")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -227,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_flip)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.add_argument("--n", type=int, default=2, help="variable count (default 2)")
+    p.add_argument("--n", type=_decimal, default=2, help="variable count (default 2)")
     p.add_argument("--all", action="store_true", help="run every check")
     p.add_argument("--ti", action="store_true", help="cardinality and splitting")
     p.add_argument("--tii", "--tiii", dest="tii", action="store_true",
@@ -236,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tv", action="store_true", help="basis reconstruction")
     p.add_argument("--flip-group", action="store_true", help="flip group laws")
     p.add_argument("--resolution", action="store_true", help="cut-rule replay")
-    p.add_argument("--max-vars", type=int, default=None,
+    p.add_argument("--max-vars", type=_decimal, default=None,
                    help="override the variable cap (default 24)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(handler=_cmd_verify)

@@ -8,7 +8,7 @@ they permute minterms and maxterms, so they preserve model counts.
 
 from __future__ import annotations
 
-from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _ones, _var_tt
+from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _var_tt
 from .truthmaps import Assignment, _index_of
 
 __all__ = ["FlipMask", "apply_flip", "pi"]
@@ -77,8 +77,7 @@ def apply_flip(a: BoolFunc, s: FlipMask | int) -> BoolFunc:
         if (mask >> k) & 1:
             width = 1 << k
             hi = _var_tt(a.n, k + 1)
-            lo = _ones(a.n) ^ hi
-            x = ((x & lo) << width) | ((x & hi) >> width)
+            x = ((x << width) & hi) | ((x & hi) >> width)
     return BoolFunc(a.n, x)
 
 

@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, Sequence
 from .flipgroup import FlipMask, _mask_of
 from .primes import _CLAUSE, _MINTERM, PrimeSet, decompose, _checked_names
 from .ring import (
-    BoolFunc, check_var_count, _Frozen, _bit_renderer, _check_var, _ones, _set_bits, _var_tt,
+    BoolFunc, check_var_count, _Frozen, _bit_renderer, _check_var, _decimal, _ones, _set_bits,
+    _var_tt,
 )
 
 __all__ = [
@@ -449,7 +450,7 @@ def parse_dimacs(text: str) -> CnfDoc:
             if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
                 raise DimacsError(f"line {lineno}: header must be 'p cnf <vars> <clauses>'")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = _decimal(parts[2]), _decimal(parts[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: header counts must be integers") from None
             if n < 1:
@@ -461,7 +462,7 @@ def parse_dimacs(text: str) -> CnfDoc:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")
         for tok in line.split():
             try:
-                lit = int(tok)
+                lit = _decimal(tok)
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {tok!r}") from None
             if lit == 0:

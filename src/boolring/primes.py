@@ -5,7 +5,7 @@ assignment where the function is false; dually it is the XOR of
 minterms, the indicator functions of its satisfying assignments.  The
 maxterm index set identifies a function uniquely, and the maxterms are
 exactly the elements p with the prime property: p*a = 0 forces a = 0 or
-a = ~p.
+a = ~p.  Rebuilding each variable from minterms (TV) is in ``theorems``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .ring import (
-    BoolFunc, check_var_count, one, var, _Frozen, _bit_renderer, _check_index, _check_var, _ones,
-    _pack_bits, _set_bits,
+    BoolFunc, check_var_count, _Frozen, _bit_renderer, _check_index, _ones, _pack_bits, _set_bits,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "decompose",
     "compose",
     "orthogonal",
-    "basis",
     "clause_text",
     "minterm_text",
 ]
@@ -91,12 +89,8 @@ class LiteralProduct(_Frozen):
         return j
 
     def to_func(self) -> BoolFunc:
-        """Multiply the literals out to a truth vector."""
-        acc = one(self.n)
-        for r, positive in enumerate(self.polarities, 1):
-            v = var(self.n, r)
-            acc = acc & (v if positive else ~v)
-        return acc
+        """The product of the literals: true at ``index()`` only, one set bit."""
+        return BoolFunc(self.n, 1 << self.index())
 
     def __str__(self) -> str:
         return "·".join(
@@ -144,19 +138,6 @@ def compose(n: int, indices: PrimeSet | Iterable[int]) -> BoolFunc:
 def orthogonal(n: int, j: int, k: int) -> BoolFunc:
     """Product of minterms j and k: the minterm itself when j == k, else zero."""
     return ~prime(n, j) & ~prime(n, k)
-
-
-def basis(n: int, r: int) -> BoolFunc:
-    """Variable r rebuilt as the XOR of the minterms satisfying it.
-
-    The minterms are disjoint, so their sum sets exactly the bits of the
-    assignments with bit (r - 1) set.  This route goes through assignment
-    indices, not the block pattern of ``var``; the verification suite
-    compares the two.
-    """
-    check_var_count(n)
-    _check_var(n, r)
-    return BoolFunc(n, _pack_bits(n, (i for i in range(1 << n) if (i >> (r - 1)) & 1)))
 
 
 def _checked_names(n: int, names: Sequence[str] | None) -> tuple[str, ...] | None:

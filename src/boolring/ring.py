@@ -103,6 +103,14 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         raise SizeLimitError(f"{what} is capped at n <= {cap}")
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an int if it is an optional '-' and ASCII digits 0-9 only;
+    ``int`` alone also takes other scripts' digits, '_', '+' and spaces."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 @lru_cache(maxsize=None)
 def _ones(n: int) -> int:
     return (1 << (1 << n)) - 1
@@ -405,8 +413,7 @@ def _mobius(n: int, x: int) -> int:
     monomial masks and back.
     """
     for k in range(n):
-        low = _ones(n) ^ _var_tt(n, k + 1)  # positions with bit k clear
-        x ^= (x & low) << (1 << k)
+        x ^= (x << (1 << k)) & _var_tt(n, k + 1)  # bit m with bit k set takes in bit m - 2**k
     return x
 
 

@@ -16,6 +16,9 @@ checked by exhaustion at small variable counts:
         single-variable functions, whose full-width products rebuild
         every minterm.
 
+The oracles of TIV and TV, ``enumerate_allowed_maps`` and ``basis``,
+live here, so no operations module loops over all 2**n assignments.
+
 ``flip_group_check`` and ``conservation_check`` check that the variable
 flips form a group acting on the maxterms and keep model counts, and
 ``verify_resolution`` replays a classical cut-rule derivation entirely
@@ -28,14 +31,23 @@ from __future__ import annotations
 
 import random
 import time
+from operator import and_, xor
 
 from .flipgroup import apply_flip, pi
-from .primes import basis, compose, decompose, prime
+from .primes import compose, decompose, prime
 from .report import Checker, Report
-from .ring import BoolFunc, one, var, zero, _check_cap
-from .truthmaps import count_models, enumerate_allowed_maps, eval_at
+from .ring import (
+    BoolFunc, check_var_count, one, var, zero, _Frozen, _check_cap, _check_var, _ones, _pack_bits,
+    _set_bits, _var_tt,
+)
+from .truthmaps import count_models, eval_at
 
 __all__ = [
+    "ADD_TABLE",
+    "MUL_TABLE",
+    "AllowedMapTable",
+    "enumerate_allowed_maps",
+    "basis",
     "verify_ti",
     "verify_tii_tiii",
     "verify_tiv",
@@ -50,6 +62,10 @@ __all__ = [
 # largest n each check is willing to enumerate
 THEOREM_CAPS = {"TI": 3, "TII+TIII": 3, "TIV": 2, "TV": 6}
 GROUP_CHECK_LIMIT = 6
+
+# image of a sum / product, indexed by the images of the two operands
+ADD_TABLE = ((0, 1), (1, 0))
+MUL_TABLE = ((0, 0), (0, 1))
 
 
 def verify_ti(n: int, rng: random.Random | None = None) -> Report:
@@ -137,6 +153,71 @@ def verify_tii_tiii(n: int) -> Report:
     return chk.report("TII+TIII", n, started)
 
 
+class AllowedMapTable(_Frozen):
+    """The compositional 0/1 maps found by exhaustion.
+
+    ``maps[k][t]`` is the image of the function with packed vector ``t``
+    under the k-th surviving map; the maps are ordered so that map k
+    sends exactly the k-th minterm to 1.
+    """
+
+    __slots__ = ("n", "maps")
+
+    def __init__(self, n: int, maps: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "maps", maps)
+
+
+def enumerate_allowed_maps(n: int) -> AllowedMapTable:
+    """Scan all 2**2**2**n maps into {0, 1} and keep the compositional ones.
+
+    A survivor must send 0 to 0 and 1 to 1 (the normalization that rules
+    out the everywhere-zero map) and must route every sum through
+    ``ADD_TABLE`` and every product through ``MUL_TABLE``.
+
+    The scan is exhaustive and bit-sliced: a set of candidates is itself
+    a packed vector with one bit per candidate.  Candidate c sends the
+    function with vector t to bit t of c, so the candidates that send t
+    to 1 form the variable vector ``_var_tt(size, t + 1)``.  Each pair
+    of functions then costs a few big-int passes that test every
+    candidate at once.  The scan is capped at ``THEOREM_CAPS["TIV"]``;
+    its vectors come from the uncapped ``_var_tt`` and ``_ones``.
+    """
+    _check_cap(n, THEOREM_CAPS["TIV"], "exhaustive map search")
+    size = 1 << (1 << n)  # number of functions over n variables
+    every = _ones(size)  # one bit per candidate map
+    # sends[t][v]: the candidates that send the function with vector t to v
+    sends = [(every ^ x, x) for x in (_var_tt(size, t + 1) for t in range(size))]
+    # the adopted normalization pins the constants: 0 maps to 0, 1 maps to 1
+    # (without it the everywhere-zero map would also survive the scan)
+    kept = sends[0][0] & sends[size - 1][1]
+    rules = [
+        (op, [(i, j) for i in (0, 1) for j in (0, 1) if table[i][j]])
+        for op, table in ((xor, ADD_TABLE), (and_, MUL_TABLE))
+    ]
+    for a in range(size):
+        for b in range(a, size):
+            for op, cells in rules:
+                # the candidates whose table sends the images of a and b to 1
+                image = 0
+                for i, j in cells:
+                    image |= sends[a][i] & sends[b][j]
+                kept &= sends[op(a, b)][0] ^ image  # image of op(a, b) agrees
+    # order the survivors by the single minterm each one sends to 1
+    by_index: dict[int, int] = {}
+    for cand in _set_bits(kept):
+        hot = [k for k in range(1 << n) if (cand >> (1 << k)) & 1]
+        if len(hot) != 1 or hot[0] in by_index:
+            raise AssertionError("surviving map does not select exactly one minterm")
+        by_index[hot[0]] = cand
+    if sorted(by_index) != list(range(1 << n)):
+        raise AssertionError("surviving maps do not cover every assignment")
+    maps = tuple(
+        tuple((by_index[k] >> t) & 1 for t in range(size)) for k in range(1 << n)
+    )
+    return AllowedMapTable(n, maps)
+
+
 def verify_tiv(n: int) -> Report:
     """The exhaustive map search finds exactly the per-assignment evaluations."""
     _check_cap(n, THEOREM_CAPS["TIV"], "allowed-map search")
@@ -156,6 +237,19 @@ def verify_tiv(n: int) -> Report:
         chk.bulk(1 << size, not bad,
                  lambda k=k, bad=bad: f"map {k} differs from evaluation at element {bad[0]}")
     return chk.report("TIV", n, started)
+
+
+def basis(n: int, r: int) -> BoolFunc:
+    """Variable r rebuilt as the XOR of the minterms satisfying it.
+
+    The minterms are disjoint, so their sum sets exactly the bits of the
+    assignments with bit (r - 1) set.  This route goes through assignment
+    indices, not the block pattern of ``var``; the verification suite
+    compares the two.
+    """
+    check_var_count(n)
+    _check_var(n, r)
+    return BoolFunc(n, _pack_bits(n, (i for i in range(1 << n) if (i >> (r - 1)) & 1)))
 
 
 def verify_tv(n: int) -> Report:

@@ -237,6 +237,30 @@ class TestErrors:
         code, _, err = run(capsys, "canon", "--formula", "a1", "--max-vars", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--formula", "a1", "--n", "\u0663"],  # Arabic-Indic digit three
+        ["count", "--formula", "a1", "--n", "1_0"],
+        ["count", "--formula", "a1", "--n", "+3"],
+        ["count", "--formula", "a1", "--max-vars", "1_0"],
+        ["verify", "--all", "--n", "\u0662"],  # Arabic-Indic digit two
+        ["verify", "--all", "--n", "0_2"],
+        ["verify", "--tiv", "--n", "2", "--max-vars", "\uff12"],  # fullwidth digit two
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]).encode("unicode_escape").decode())
+    def test_integer_options_are_ascii_decimal(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "invalid" in err and "Traceback" not in err
+
+    def test_negative_n_is_still_a_refusal(self, capsys):
+        code, _, err = run(capsys, "count", "--formula", "a1", "--n", "-1")
+        assert code == 3
+        assert err.startswith("refused: ")
+        code, _, err = run(capsys, "verify", "--ti", "--n", "-1")
+        assert code == 3
+        assert err.startswith("refused: ")
+
     def test_max_vars_override_does_not_leak(self, capsys):
         code, _, _ = run(capsys, "taut", "--formula", "a1|!a1", "--max-vars", "3")
         assert code == 0

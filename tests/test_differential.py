@@ -21,7 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import boolring.truthmaps as truthmaps
+import boolring.theorems as theorems
 from boolring import (
     AllowedMapTable,
     Anf,
@@ -252,9 +252,9 @@ def ref_compositional(cand, size):
         ta = (cand >> a) & 1
         for b in range(a, size):
             tb = (cand >> b) & 1
-            if (cand >> (a ^ b)) & 1 != truthmaps.ADD_TABLE[ta][tb]:
+            if (cand >> (a ^ b)) & 1 != theorems.ADD_TABLE[ta][tb]:
                 return False
-            if (cand >> (a & b)) & 1 != truthmaps.MUL_TABLE[ta][tb]:
+            if (cand >> (a & b)) & 1 != theorems.MUL_TABLE[ta][tb]:
                 return False
     return True
 
@@ -787,7 +787,7 @@ class TestAllowedMapRoutes:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_changed_table_fails_both_scans_alike(self, n, monkeypatch):
-        monkeypatch.setattr(truthmaps, "MUL_TABLE", ((0, 1), (1, 1)))  # the OR table
+        monkeypatch.setattr(theorems, "MUL_TABLE", ((0, 1), (1, 1)))  # the OR table
         with pytest.raises(AssertionError) as fast:
             enumerate_allowed_maps(n)
         with pytest.raises(AssertionError) as slow:

@@ -398,6 +398,28 @@ class TestParseDimacs:
         with pytest.raises(DimacsError):
             parse_dimacs(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 3 1\n\u0661 -2 0\n", "bad literal"),  # Arabic-Indic digit one
+            ("p cnf 3 1\n1_0 0\n", "bad literal"),  # digit separator
+            ("p cnf 3 1\n+1 0\n", "bad literal"),  # explicit plus sign
+            ("p cnf 3 1\n1 --2 0\n", "bad literal"),  # doubled minus
+            ("p cnf 3 1\n1 \uff12 0\n", "bad literal"),  # fullwidth digit two
+            ("p cnf \u0663 1\n1 0\n", "header counts must be integers"),  # Arabic-Indic three
+            ("p cnf 1_0 1\n1 0\n", "header counts must be integers"),
+            ("p cnf 3 +1\n1 0\n", "header counts must be integers"),
+        ],
+    )
+    def test_integers_are_ascii_decimal(self, text, message):
+        with pytest.raises(DimacsError, match=message):
+            parse_dimacs(text)
+
+    def test_negative_literals_and_counts_still_read(self):
+        assert parse_dimacs("p cnf 3 1\n-1 -3 0\n").clauses == ((-1, -3),)
+        with pytest.raises(DimacsError, match="clause count must not be negative"):
+            parse_dimacs("p cnf 3 -1\n")
+
     def test_errors_carry_line_numbers(self):
         with pytest.raises(DimacsError, match="line 2"):
             parse_dimacs("p cnf 2 1\n3 0\n")

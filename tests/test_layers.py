@@ -44,6 +44,26 @@ def test_operations_do_not_import_the_verification_layer():
         assert "from .theorems" not in text and "from .report" not in text, name
 
 
+def test_operations_do_not_loop_over_all_assignments():
+    for name in OPERATIONS:
+        assert "range(1 <<" not in (SRC / name).read_text(encoding="utf-8"), name
+
+
+ORACLES = ["ADD_TABLE", "MUL_TABLE", "AllowedMapTable", "enumerate_allowed_maps", "basis"]
+
+
+def test_oracles_live_in_the_verification_layer():
+    import boolring.primes
+    import boolring.theorems
+    import boolring.truthmaps
+
+    for name in ORACLES:
+        assert hasattr(boolring.theorems, name), name
+        assert not hasattr(boolring.truthmaps, name), name
+        assert not hasattr(boolring.primes, name), name
+        assert getattr(boolring, name) is getattr(boolring.theorems, name), name
+
+
 def test_bare_import_loads_no_submodule():
     loaded = _python(
         "import sys, boolring; "

@@ -76,6 +76,15 @@ class TestLiteralForm:
                 assert lp.index() == j
                 assert lp.to_func() == neg(prime(n, j))
 
+    def test_product_multiplied_out_literal_by_literal(self):
+        for n in range(1, 5):
+            for j in range(1 << n):
+                lp = literal_form(n, j)
+                acc = one(n)
+                for r, positive in enumerate(lp.polarities, 1):
+                    acc = acc & (var(n, r) if positive else neg(var(n, r)))
+                assert lp.to_func() == acc
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             literal_form(2, 4)
