@@ -62,7 +62,8 @@ def _load(args: argparse.Namespace) -> tuple[BoolFunc, dict[str, Any], Formula |
     if args.n is not None:
         raise _UsageError("--n applies only to --formula input")
     try:
-        text = open(args.dimacs, encoding="utf-8").read()
+        with open(args.dimacs, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {args.dimacs}: {exc}") from None
     doc = parse_dimacs(text)

@@ -8,7 +8,7 @@ they permute minterms and maxterms, so they preserve model counts.
 
 from __future__ import annotations
 
-from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _var_tt
+from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _var_tts
 from .truthmaps import Assignment, _index_of
 
 __all__ = ["FlipMask", "apply_flip", "pi"]
@@ -73,10 +73,9 @@ def apply_flip(a: BoolFunc, s: FlipMask | int) -> BoolFunc:
     """
     mask = _mask_of(a.n, s)
     x = a.tt
-    for k in range(a.n):
+    for k, hi in enumerate(_var_tts(a.n)):
         if (mask >> k) & 1:
             width = 1 << k
-            hi = _var_tt(a.n, k + 1)
             x = ((x << width) & hi) | ((x & hi) >> width)
     return BoolFunc(a.n, x)
 

@@ -26,7 +26,7 @@ from .flipgroup import FlipMask, _mask_of
 from .primes import _CLAUSE, _MINTERM, PrimeSet, decompose, _checked_names
 from .ring import (
     BoolFunc, check_var_count, _Frozen, _bit_renderer, _check_var, _decimal, _ones, _set_bits,
-    _var_tt,
+    _var_tts,
 )
 
 __all__ = [
@@ -348,13 +348,13 @@ def eval_ast(f: Formula) -> BoolFunc:
     ``BoolFunc`` is built from the result.
     """
     check_var_count(f.n)
-    n, ones = f.n, _ones(f.n)
+    n, ones, tts = f.n, _ones(f.n), _var_tts(f.n)
     values: list[int] = []
     for node, rhs_first in _postorder(f.root):
         cls = type(node)
         if cls is Var:
             _check_var(n, node.index)
-            values.append(_var_tt(n, node.index))
+            values.append(tts[node.index - 1])
         elif cls is Const:
             values.append(ones if node.value else 0)
         elif cls is Not:
@@ -512,12 +512,12 @@ def eval_cnf(doc: CnfDoc) -> BoolFunc:
     """Truth vector of a document: the AND of its clauses, each the OR of
     its literal vectors, computed on the packed ints themselves."""
     n = doc.n
-    ones = _ones(n)
+    ones, tts = _ones(n), _var_tts(n)
     acc = ones
     for cl in doc.clauses:
         cur = 0
         for lit in cl:
-            cur |= _var_tt(n, lit) if lit > 0 else ones ^ _var_tt(n, -lit)
+            cur |= tts[lit - 1] if lit > 0 else ones ^ tts[-lit - 1]
         acc &= cur
     return BoolFunc(n, acc)
 

@@ -111,22 +111,22 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-@lru_cache(maxsize=None)
 def _ones(n: int) -> int:
     return (1 << (1 << n)) - 1
 
 
-@lru_cache(maxsize=None)
-def _var_tt(n: int, r: int) -> int:
-    # one period is 2**(r-1) zeros below 2**(r-1) ones; double up to full width
-    block = 1 << (r - 1)
-    x = ((1 << block) - 1) << block
-    width = block << 1
-    size = 1 << n
-    while width < size:
-        x |= x << width
-        width <<= 1
-    return x
+@lru_cache(maxsize=1)
+def _var_tts(n: int) -> tuple[int, ...]:
+    """The vectors of variables 1..n over 2**n bits, variable r at index r - 1.
+
+    Variable r is variable r + 1 XOR itself shifted down by 2**(r - 1),
+    with all ones as variable n + 1.  Only the last n's table is kept.
+    """
+    x, tts = _ones(n), []
+    for r in range(n, 0, -1):
+        x ^= x >> (1 << (r - 1))
+        tts.append(x)
+    return tuple(reversed(tts))
 
 
 class _Frozen:
@@ -199,7 +199,7 @@ class BoolFunc(_Frozen):
         check_var_count(n)
         if isinstance(tt, bool) or not isinstance(tt, int):
             raise TypeError(f"truth vector must be an int, got {type(tt).__name__}")
-        if not 0 <= tt <= _ones(n):
+        if tt < 0 or tt.bit_length() > 1 << n:
             raise ValueError(f"truth vector must fit in {1 << n} bits")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "tt", tt)
@@ -283,7 +283,7 @@ def var(n: int, r: int) -> BoolFunc:
     """The function of variable r alone: bit j of the vector is bit r-1 of j."""
     check_var_count(n)
     _check_var(n, r)
-    return BoolFunc(n, _var_tt(n, r))
+    return BoolFunc(n, _var_tts(n)[r - 1])
 
 
 def add(a: BoolFunc, b: BoolFunc) -> BoolFunc:
@@ -412,8 +412,8 @@ def _mobius(n: int, x: int) -> int:
     m.  The transform is its own inverse, so it maps truth vectors to
     monomial masks and back.
     """
-    for k in range(n):
-        x ^= (x << (1 << k)) & _var_tt(n, k + 1)  # bit m with bit k set takes in bit m - 2**k
+    for k, hi in enumerate(_var_tts(n)):
+        x ^= (x << (1 << k)) & hi  # bit m with bit k set takes in bit m - 2**k
     return x
 
 

@@ -38,7 +38,7 @@ from .primes import compose, decompose, prime
 from .report import Checker, Report
 from .ring import (
     BoolFunc, check_var_count, one, var, zero, _Frozen, _check_cap, _check_var, _ones, _pack_bits,
-    _set_bits, _var_tt,
+    _set_bits, _var_tts,
 )
 from .truthmaps import count_models, eval_at
 
@@ -178,16 +178,16 @@ def enumerate_allowed_maps(n: int) -> AllowedMapTable:
     The scan is exhaustive and bit-sliced: a set of candidates is itself
     a packed vector with one bit per candidate.  Candidate c sends the
     function with vector t to bit t of c, so the candidates that send t
-    to 1 form the variable vector ``_var_tt(size, t + 1)``.  Each pair
-    of functions then costs a few big-int passes that test every
+    to 1 form the vector of variable t + 1 over ``size`` variables.  Each
+    pair of functions then costs a few big-int passes that test every
     candidate at once.  The scan is capped at ``THEOREM_CAPS["TIV"]``;
-    its vectors come from the uncapped ``_var_tt`` and ``_ones``.
+    its vectors come from the uncapped ``_var_tts`` and ``_ones``.
     """
     _check_cap(n, THEOREM_CAPS["TIV"], "exhaustive map search")
     size = 1 << (1 << n)  # number of functions over n variables
     every = _ones(size)  # one bit per candidate map
     # sends[t][v]: the candidates that send the function with vector t to v
-    sends = [(every ^ x, x) for x in (_var_tt(size, t + 1) for t in range(size))]
+    sends = [(every ^ x, x) for x in _var_tts(size)]
     # the adopted normalization pins the constants: 0 maps to 0, 1 maps to 1
     # (without it the everywhere-zero map would also survive the scan)
     kept = sends[0][0] & sends[size - 1][1]

@@ -7,10 +7,17 @@ monomial or per index exceeds it by orders of magnitude.  The
 evaluators are held to the same bound: a 3-CNF of 4n clauses, a
 formula of bounded depth, and two 1000-deep chains that nest to the
 right, each keep a few vectors live, not one per literal, node or level.
+
+What the calls leave behind is bounded too: the variable vectors of the
+last n, which a call at another n replaces.
 """
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +32,7 @@ LIMIT_BYTES = 8 * VECTOR_BYTES
 
 def peak_bytes(fn):
     """Bytes allocated at the peak of one call, above what was live before it."""
-    fn()  # warm-up: fills the per-n mask caches, which later calls share
+    fn()  # warm-up: builds the variable table of this n, which later calls share
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -87,3 +94,44 @@ def test_evaluator_peak_is_a_few_vectors(name):
              "eval_ast_right_nested": lambda: eval_ast(right_nested)}
     peak = peak_bytes(calls[name])
     assert peak <= LIMIT_BYTES, f"{name} peaked at {peak / VECTOR_BYTES:.1f} vectors"
+
+
+RETENTION_SCRIPT = """
+import gc, random, tracemalloc
+from boolring import BoolFunc, CnfDoc, apply_flip, eval_ast, eval_cnf, parse_formula, to_anf
+
+n, clauses, text = {n}, {clauses!r}, {text!r}
+tracemalloc.start()
+func = BoolFunc(n, random.Random(20).getrandbits(1 << n))
+to_anf(func), apply_flip(func, (1 << n) - 1)
+eval_ast(parse_formula(text, n)), eval_cnf(CnfDoc(n, clauses))
+del func
+gc.collect()
+held_after_n = tracemalloc.get_traced_memory()[0]
+to_anf(BoolFunc(3, 0x96))
+gc.collect()
+print(held_after_n, tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_calls_leave_only_the_last_variable_table():
+    """After the transforms and evaluators return, the process keeps at
+    most n + 1 vectors: the n of the variable table, with room for small
+    objects.  After one call at n = 3 it keeps less than one vector of
+    the larger n.  A fresh interpreter keeps test order and earlier
+    variable counts out of the count."""
+    rng = random.Random(22)
+    code = RETENTION_SCRIPT.format(
+        n=N, clauses=random_3cnf(rng, N, 4 * N).clauses, text=bounded_formula(rng, N, 4))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    # a vector counts as the int that holds it, 30 bits to a 4-byte digit
+    vector = sys.getsizeof((1 << (1 << N)) - 1)
+    held_after_n, held_after_3 = map(int, proc.stdout.split())
+    assert held_after_n <= (N + 1) * vector, \
+        f"kept {held_after_n / vector:.1f} vectors after the n={N} calls"
+    assert held_after_3 < vector, \
+        f"kept {held_after_3 / vector:.1f} vectors of n={N} after a call at n=3"

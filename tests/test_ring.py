@@ -69,6 +69,18 @@ class TestConstruction:
             for r in range(1, n + 1):
                 assert var(n, r).tt == oracle_tt(n, lambda a, r=r: a[r])
 
+    @pytest.mark.parametrize("n", [8, 16, 20, 24])
+    def test_variable_vectors_match_byte_patterns(self, n):
+        # the repeating byte of variables 1-3; from variable 4 on, a block
+        # of 2**(r - 4) zero bytes below as many 0xff bytes
+        size = 1 << (n - 3)
+        for r in range(1, n + 1):
+            if r <= 3:
+                block = bytes([(0xAA, 0xCC, 0xF0)[r - 1]])
+            else:
+                block = bytes(1 << (r - 4)) + b"\xff" * (1 << (r - 4))
+            assert var(n, r).tt == int.from_bytes(block * (size // len(block)), "little")
+
     def test_equality_needs_same_width(self):
         assert zero(1) != zero(2)
         assert BoolFunc(2, 6) == BoolFunc(2, 6)
