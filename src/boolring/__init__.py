@@ -22,14 +22,14 @@ _EXPORTS = {
     ),
     "primes": (
         "LiteralProduct", "PrimeSet", "clause_text", "compose", "decompose", "literal_form",
-        "minterm_text", "orthogonal", "prime",
+        "minterm_dnf_text", "minterm_text", "orthogonal", "prime", "prime_cnf_text",
     ),
     "truthmaps": ("Assignment", "count_models", "eval_at", "satisfying_assignments"),
     "flipgroup": ("FlipMask", "apply_flip", "pi"),
     "frontend": (
         "CnfDoc", "DimacsError", "Formula", "FormulaSyntaxError", "ast_flip", "clause_blowup",
-        "cnf_flip", "cnf_to_primes", "eval_ast", "eval_cnf", "minterm_dnf_text",
-        "parse_dimacs", "parse_formula", "prime_cnf_text", "to_dimacs",
+        "cnf_flip", "cnf_to_primes", "eval_ast", "eval_cnf", "parse_dimacs", "parse_formula",
+        "to_dimacs",
     ),
     "report": ("Report",),
     "theorems": (

@@ -6,7 +6,8 @@ check), verify (the built-in check suite), taut (tautology test).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 size-cap refusal, also when the truth vector is too large to build
-(OverflowError or MemoryError, as with a raised --max-vars).  Output is
+(OverflowError or MemoryError, as with a raised --max-vars), 141
+(128 + SIGPIPE, silently) when the reader closes stdout early.  Output is
 deterministic for a given input; --json emits the same fields as the
 text form.
 
@@ -17,10 +18,11 @@ the text frontend, and the others do not load the verification suite.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .primes import decompose
+from .primes import decompose, prime_cnf_text
 from .ring import (
     BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf, _decimal, _set_bits,
 )
@@ -97,8 +99,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    from .frontend import prime_cnf_text
-
     func, meta, doc = _load(args)
     ps = decompose(func)
     fields = dict(meta)
@@ -257,7 +257,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.max_vars is not None:
             set_max_vars(args.max_vars)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes nowhere, silently
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except SizeLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -20,14 +20,11 @@ document's truth vector, whose zeros are exactly those maxterms.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .flipgroup import FlipMask, _mask_of
-from .primes import _CLAUSE, _MINTERM, PrimeSet, decompose, _checked_names
-from .ring import (
-    BoolFunc, check_var_count, _Frozen, _bit_renderer, _check_var, _decimal, _ones, _set_bits,
-    _var_tts,
-)
+from .primes import PrimeSet, decompose
+from .ring import BoolFunc, check_var_count, _Frozen, _check_var, _decimal, _ones, _var_tts
 
 __all__ = [
     "FormulaSyntaxError",
@@ -50,8 +47,6 @@ __all__ = [
     "cnf_to_primes",
     "eval_cnf",
     "cnf_flip",
-    "prime_cnf_text",
-    "minterm_dnf_text",
 ]
 
 
@@ -479,7 +474,8 @@ def parse_dimacs(text: str) -> CnfDoc:
         raise DimacsError("unterminated clause at end of input")
     if len(clauses) != m:
         raise DimacsError(f"header declares {m} clauses, found {len(clauses)}")
-    return CnfDoc(n, tuple(clauses))
+    check_var_count(n)
+    return CnfDoc._of(n, tuple(clauses))  # each clause is normalized above
 
 
 def to_dimacs(doc: CnfDoc) -> str:
@@ -529,27 +525,6 @@ def cnf_flip(doc: CnfDoc, s: FlipMask | int) -> CnfDoc:
         tuple(-lit if (mask >> (abs(lit) - 1)) & 1 else lit for lit in cl)
         for cl in doc.clauses
     )
-    return CnfDoc(doc.n, out)
+    check_var_count(doc.n)
+    return CnfDoc._of(doc.n, out)  # negation keeps a clause sorted and free of repeats
 
-
-# ---------------------------------------------------------------------------
-# text emitters
-
-
-def prime_cnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
-    """Full conjunctive form, one clause per maxterm index; ``1`` when empty."""
-    names = _checked_names(ps.n, names)
-    if not ps.mask:
-        return "1"
-    clause = _bit_renderer(ps.n, *_CLAUSE, names)
-    return "(" + ") ∧ (".join(map(clause, _set_bits(ps.mask))) + ")"
-
-
-def minterm_dnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
-    """Full disjunctive form over the satisfying indices; ``0`` when none."""
-    names = _checked_names(ps.n, names)
-    sat = ps.mask ^ _ones(ps.n)
-    if not sat:
-        return "0"
-    minterm = _bit_renderer(ps.n, *_MINTERM, names)
-    return "(" + ") ∨ (".join(map(minterm, _set_bits(sat))) + ")"

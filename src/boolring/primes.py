@@ -6,6 +6,7 @@ minterms, the indicator functions of its satisfying assignments.  The
 maxterm index set identifies a function uniquely, and the maxterms are
 exactly the elements p with the prime property: p*a = 0 forces a = 0 or
 a = ~p.  Rebuilding each variable from minterms (TV) is in ``theorems``.
+One helper renders a maxterm or minterm, or the full forms, as text.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "orthogonal",
     "clause_text",
     "minterm_text",
+    "prime_cnf_text",
+    "minterm_dnf_text",
 ]
 
 
@@ -140,35 +143,48 @@ def orthogonal(n: int, j: int, k: int) -> BoolFunc:
     return ~prime(n, j) & ~prime(n, k)
 
 
-def _checked_names(n: int, names: Sequence[str] | None) -> tuple[str, ...] | None:
-    """``names`` as a tuple, or None for the default a1..an."""
-    if names is None:
-        return None
-    names = tuple(names)
-    if len(names) != n:
-        raise ValueError(f"{len(names)} names given for {n} variables")
-    return names
+# a style: the words for a clear and a set bit, the separator inside a term,
+# the joiner between terms and the text of the empty form
+_CLAUSE = ("{}", "¬{}", " ∨ ", ") ∧ (", "1")
+_MINTERM = ("¬{}", "{}", " ∧ ", ") ∨ (", "0")
 
 
-# words for a clear and a set bit, and the separator
-_CLAUSE = ("{}", "¬{}", " ∨ ")
-_MINTERM = ("¬{}", "{}", " ∧ ")
-
-
-def _index_text(
-    n: int, j: int, style: tuple[str, str, str], names: Sequence[str] | None
+def _terms_text(
+    n: int, indices: Sequence[int], style: tuple[str, ...], names: Sequence[str] | None
 ) -> str:
-    """Assignment index j in ``style``, one word per variable, in parentheses."""
-    check_var_count(n)
-    _check_index(n, j)
-    return "(" + _bit_renderer(n, *style, _checked_names(n, names))(j) + ")"
+    """One term per assignment index in ``style``, each in parentheses.
+
+    A term has one word per variable; ``names`` defaults to a1..an.
+    """
+    clear, set_, sep, joiner, empty = style
+    if names is not None:
+        names = tuple(names)
+        if len(names) != n:
+            raise ValueError(f"{len(names)} names given for {n} variables")
+    if not indices:
+        return empty
+    return "(" + joiner.join(map(_bit_renderer(n, clear, set_, sep, names), indices)) + ")"
 
 
 def clause_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Maxterm j as a full OR-clause, e.g. ``(a1 ∨ ¬a2)``."""
-    return _index_text(n, j, _CLAUSE, names)
+    check_var_count(n)
+    _check_index(n, j)
+    return _terms_text(n, (j,), _CLAUSE, names)
 
 
 def minterm_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Minterm j as a full AND-term, e.g. ``(¬a1 ∧ a2)``."""
-    return _index_text(n, j, _MINTERM, names)
+    check_var_count(n)
+    _check_index(n, j)
+    return _terms_text(n, (j,), _MINTERM, names)
+
+
+def prime_cnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
+    """Full conjunctive form, one clause per maxterm index; ``1`` when empty."""
+    return _terms_text(ps.n, _set_bits(ps.mask), _CLAUSE, names)
+
+
+def minterm_dnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
+    """Full disjunctive form over the satisfying indices; ``0`` when none."""
+    return _terms_text(ps.n, _set_bits(ps.mask ^ _ones(ps.n)), _MINTERM, names)

@@ -307,6 +307,24 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "tautology: true" in proc.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["count", "--assignments"],
+        ["canon", "--json"],
+    ], ids=lambda argv: argv[0])
+    def test_closed_stdout_exits_141_silently(self, argv):
+        # several MB of output at n=16, far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "boolring.cli", *argv, "--formula", "a1|!a1", "--n", "16"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""
+
 
 class TestDeepFormula:
     @pytest.mark.parametrize("argv, deep, collapsed", [

@@ -11,6 +11,7 @@ from boolring import (
     FlipMask,
     FormulaSyntaxError,
     PrimeSet,
+    SizeLimitError,
     apply_flip,
     ast_flip,
     clause_blowup,
@@ -419,6 +420,40 @@ class TestParseDimacs:
         assert parse_dimacs("p cnf 3 1\n-1 -3 0\n").clauses == ((-1, -3),)
         with pytest.raises(DimacsError, match="clause count must not be negative"):
             parse_dimacs("p cnf 3 -1\n")
+
+    def test_clauses_are_normalized_like_cnfdoc(self):
+        # literals out of order and repeated; the parser and the flip keep
+        # CnfDoc's normal form without building the document a second time
+        rng = random.Random(14014)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            raw = []
+            for _ in range(rng.randint(0, 6)):
+                chosen = [v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+                lits = chosen + rng.choices(chosen, k=rng.randint(0, 3))
+                rng.shuffle(lits)
+                raw.append(lits)
+            text = f"p cnf {n} {len(raw)}\n" + "".join(
+                " ".join(map(str, lits)) + " 0\n" for lits in raw
+            )
+            doc = parse_dimacs(text)
+            assert doc == CnfDoc(n, raw)
+            for s in range(1 << n):
+                negated = [[-lit if (s >> (abs(lit) - 1)) & 1 else lit for lit in lits]
+                           for lits in raw]
+                assert cnf_flip(doc, s) == CnfDoc(n, negated)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("p cnf 30 1\n1 0\n", SizeLimitError, "variable count 30"),
+        ("p cnf 30 1\nx 0\n", DimacsError, "line 2: bad literal 'x'"),
+        ("p cnf 30 2\n1 0\n", DimacsError, "header declares 2 clauses, found 1"),
+    ], ids=["over_cap", "bad_literal_first", "count_mismatch_first"])
+    def test_error_order(self, text, error, message):
+        # the variable cap is checked last, after every DIMACS error
+        with pytest.raises(error, match=message) as exc:
+            parse_dimacs(text)
+        assert exc.type is error
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(DimacsError, match="line 2"):

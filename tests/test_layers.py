@@ -64,6 +64,25 @@ def test_oracles_live_in_the_verification_layer():
         assert getattr(boolring, name) is getattr(boolring.theorems, name), name
 
 
+EMITTERS = ["clause_text", "minterm_text", "prime_cnf_text", "minterm_dnf_text"]
+
+
+def test_emitters_live_in_primes():
+    import boolring.frontend
+    import boolring.primes
+
+    for name in EMITTERS:
+        assert hasattr(boolring.primes, name), name
+        assert getattr(boolring, name) is getattr(boolring.primes, name), name
+        assert not hasattr(boolring.frontend, name), name
+    # the styles and the one helper that renders them stay private to primes
+    for path in SRC.glob("*.py"):
+        if path.name != "primes.py":
+            text = path.read_text(encoding="utf-8")
+            for private in ("_CLAUSE", "_MINTERM", "_terms_text", "_checked_names"):
+                assert private not in text, (path.name, private)
+
+
 def test_bare_import_loads_no_submodule():
     loaded = _python(
         "import sys, boolring; "
