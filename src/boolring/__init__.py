@@ -31,11 +31,10 @@ _EXPORTS = {
         "cnf_flip", "cnf_to_primes", "eval_ast", "eval_cnf", "parse_dimacs", "parse_formula",
         "to_dimacs",
     ),
-    "report": ("Report",),
     "theorems": (
-        "ADD_TABLE", "MUL_TABLE", "AllowedMapTable", "GROUP_CHECK_LIMIT", "THEOREM_CAPS", "basis",
-        "conservation_check", "enumerate_allowed_maps", "flip_group_check", "verify_resolution",
-        "verify_ti", "verify_tii_tiii", "verify_tiv", "verify_tv",
+        "ADD_TABLE", "MUL_TABLE", "AllowedMapTable", "GROUP_CHECK_LIMIT", "Report", "THEOREM_CAPS",
+        "basis", "conservation_check", "enumerate_allowed_maps", "flip_group_check",
+        "verify_resolution", "verify_ti", "verify_tii_tiii", "verify_tiv", "verify_tv",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -135,10 +135,10 @@ class Formula(_Frozen):
 
     __slots__ = ("root", "n", "names")
 
-    def __init__(self, root: Node, n: int, names: tuple[str, ...]) -> None:
+    def __init__(self, root: Node, n: int, names: Iterable[str]) -> None:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", tuple(names))
 
     def to_text(self) -> str:
         """Render back to the input syntax with minimal parentheses."""

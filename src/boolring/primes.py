@@ -73,8 +73,9 @@ class LiteralProduct(_Frozen):
 
     __slots__ = ("n", "polarities")
 
-    def __init__(self, n: int, polarities: tuple[bool, ...]) -> None:
+    def __init__(self, n: int, polarities: Iterable[bool]) -> None:
         check_var_count(n)
+        polarities = tuple(polarities)
         if len(polarities) != n:
             raise ValueError("exactly one polarity per variable is required")
         for positive in polarities:

@@ -22,20 +22,22 @@ live here, so no operations module loops over all 2**n assignments.
 ``flip_group_check`` and ``conservation_check`` check that the variable
 flips form a group acting on the maxterms and keep model counts, and
 ``verify_resolution`` replays a classical cut-rule derivation entirely
-inside the ring.  Each check returns a deterministic ``Report`` and uses
-only public operations of the package, so the suite doubles as an
-integration test.
+inside the ring.  Each check counts its assertions on a ``Checker``,
+which also times the run, and returns a deterministic ``Report``.  The
+checks use only public operations of the package, so the suite doubles
+as an integration test.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from functools import reduce
 from operator import and_, xor
+from typing import Any, Callable
 
 from .flipgroup import apply_flip, pi
 from .primes import compose, decompose, prime
-from .report import Checker, Report
 from .ring import (
     BoolFunc, check_var_count, one, var, zero, _Frozen, _check_cap, _check_var, _ones, _pack_bits,
     _set_bits, _var_tts,
@@ -57,6 +59,7 @@ __all__ = [
     "conservation_check",
     "THEOREM_CAPS",
     "GROUP_CHECK_LIMIT",
+    "Report",
 ]
 
 # largest n each check is willing to enumerate
@@ -68,7 +71,82 @@ ADD_TABLE = ((0, 1), (1, 0))
 MUL_TABLE = ((0, 0), (0, 1))
 
 
-def verify_ti(n: int, rng: random.Random | None = None) -> Report:
+class Report(_Frozen):
+    """Outcome of one verification run.
+
+    ``checks`` counts the elementary assertions exercised;
+    ``counterexample`` describes the first failure, if any.  Everything
+    except ``elapsed`` is deterministic for a given library version.
+    """
+
+    __slots__ = ("name", "n", "passed", "checks", "elapsed", "counterexample")
+
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        passed: bool,
+        checks: int,
+        elapsed: float,
+        counterexample: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "counterexample", counterexample)
+
+    def line(self, with_elapsed: bool = True) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        parts = [f"{self.name} n={self.n} {status} checks={self.checks}"]
+        if with_elapsed:
+            parts.append(f"time={self.elapsed:.3f}s")
+        if self.counterexample:
+            parts.append(f"counterexample: {self.counterexample}")
+        return "  ".join(parts)
+
+    def as_dict(self, with_elapsed: bool = True) -> dict[str, Any]:
+        out: dict[str, Any] = {
+            "name": self.name,
+            "n": self.n,
+            "passed": self.passed,
+            "checks": self.checks,
+        }
+        if with_elapsed:
+            out["elapsed"] = round(self.elapsed, 6)
+        if self.counterexample:
+            out["counterexample"] = self.counterexample
+        return out
+
+
+class Checker:
+    """One run of a check: counts its elementary checks, keeps the first
+    failure description and times the run from construction to ``report``."""
+
+    def __init__(self, name: str, n: int) -> None:
+        self.name = name
+        self.n = n
+        self.checks = 0
+        self.failure: str | None = None
+        self.started = time.perf_counter()
+
+    def ok(self, condition: bool, detail: str | Callable[[], str]) -> bool:
+        return self.bulk(1, condition, detail)
+
+    def bulk(self, count: int, condition: bool, detail: str | Callable[[], str]) -> bool:
+        """Record ``count`` homogeneous checks whose combined outcome is known."""
+        self.checks += count
+        if not condition and self.failure is None:
+            self.failure = detail() if callable(detail) else str(detail)
+        return bool(condition)
+
+    def report(self) -> Report:
+        elapsed = time.perf_counter() - self.started
+        return Report(self.name, self.n, self.failure is None, self.checks, elapsed, self.failure)
+
+
+def verify_ti(n: int) -> Report:
     """Cardinality and annihilator-splitting checks.
 
     For each chosen nontrivial s, the annihilators of s and of ~s must
@@ -78,19 +156,14 @@ def verify_ti(n: int, rng: random.Random | None = None) -> Report:
     tried for n <= 2; sixteen seeded-random choices for n = 3.
     """
     _check_cap(n, THEOREM_CAPS["TI"], "TI enumeration")
-    started = time.perf_counter()
-    chk = Checker()
+    chk = Checker("TI", n)
     size = 1 << (1 << n)
     ones_tt = size - 1
     distinct = {BoolFunc(n, t).tt for t in range(size)}
     chk.ok(len(distinct) == 2 ** (2 ** n), "function space has the wrong cardinality")
 
     nontrivial = [s for s in range(size) if s not in (0, ones_tt)]
-    if n <= 2:
-        chosen = nontrivial
-    else:
-        rng = rng or random.Random(0xA11A)
-        chosen = sorted(rng.sample(nontrivial, 16))
+    chosen = nontrivial if n <= 2 else sorted(random.Random(0xA11A).sample(nontrivial, 16))
     for s in chosen:
         ann_s = [a for a in range(size) if a & s == 0]
         ann_not_s = [a for a in range(size) if a & (ones_tt ^ s) == 0]
@@ -113,7 +186,7 @@ def verify_ti(n: int, rng: random.Random | None = None) -> Report:
                      if sum(1 for u in ann_s if (a ^ u) in set_not_s) != 1]
         chk.bulk(size, not bad_split,
                  lambda s=s, bad=bad_split: f"s={s}: element {bad[0]} lacks a unique split")
-    return chk.report("TI", n, started)
+    return chk.report()
 
 
 def verify_tii_tiii(n: int) -> Report:
@@ -124,8 +197,7 @@ def verify_tii_tiii(n: int) -> Report:
     decomposing every function must be mutually inverse bijections.
     """
     _check_cap(n, THEOREM_CAPS["TII+TIII"], "prime scan")
-    started = time.perf_counter()
-    chk = Checker()
+    chk = Checker("TII+TIII", n)
     size = 1 << n
     space = 1 << size
     ones_tt = space - 1
@@ -150,7 +222,7 @@ def verify_tii_tiii(n: int) -> Report:
         f = BoolFunc(n, t)
         chk.ok(compose(n, decompose(f)) == f,
                lambda f=f: f"compose(decompose({f})) changed the function")
-    return chk.report("TII+TIII", n, started)
+    return chk.report()
 
 
 class AllowedMapTable(_Frozen):
@@ -221,8 +293,7 @@ def enumerate_allowed_maps(n: int) -> AllowedMapTable:
 def verify_tiv(n: int) -> Report:
     """The exhaustive map search finds exactly the per-assignment evaluations."""
     _check_cap(n, THEOREM_CAPS["TIV"], "allowed-map search")
-    started = time.perf_counter()
-    chk = Checker()
+    chk = Checker("TIV", n)
     table = enumerate_allowed_maps(n)
     size = 1 << n
     chk.ok(len(table.maps) == size,
@@ -236,7 +307,7 @@ def verify_tiv(n: int) -> Report:
         bad = [t for t in range(1 << size) if m[t] != eval_at(BoolFunc(n, t), k)]
         chk.bulk(1 << size, not bad,
                  lambda k=k, bad=bad: f"map {k} differs from evaluation at element {bad[0]}")
-    return chk.report("TIV", n, started)
+    return chk.report()
 
 
 def basis(n: int, r: int) -> BoolFunc:
@@ -252,6 +323,13 @@ def basis(n: int, r: int) -> BoolFunc:
     return BoolFunc(n, _pack_bits(n, (i for i in range(1 << n) if (i >> (r - 1)) & 1)))
 
 
+def _polarity_products(n: int, gens: list[BoolFunc]) -> list[BoolFunc]:
+    """For each s, the product of the generators, generator r plain when
+    bit (r - 1) of s is set and complemented otherwise."""
+    return [reduce(and_, (g if (s >> k) & 1 else ~g for k, g in enumerate(gens)), one(n))
+            for s in range(1 << len(gens))]
+
+
 def verify_tv(n: int) -> Report:
     """Basis reconstruction checks.
 
@@ -261,34 +339,23 @@ def verify_tv(n: int) -> Report:
     different order.
     """
     _check_cap(n, THEOREM_CAPS["TV"], "basis check")
-    started = time.perf_counter()
-    chk = Checker()
+    chk = Checker("TV", n)
     size = 1 << n
     gens = [basis(n, r) for r in range(1, n + 1)]
     chk.ok(len(set(gens)) == n, "basis functions are not distinct")
     chk.ok(all(g not in (zero(n), one(n)) for g in gens), "a basis function is constant")
     chk.ok(all(g == var(n, r) for r, g in enumerate(gens, 1)),
            "basis functions do not match the variable patterns")
-    for s in range(size):
-        prod = one(n)
-        for r in range(1, n + 1):
-            g = gens[r - 1]
-            prod = prod & (g if (s >> (r - 1)) & 1 else ~g)
+    for s, prod in enumerate(_polarity_products(n, gens)):
         chk.ok(prod == ~prime(n, s),
                lambda s=s: f"polarity product {s} is not minterm {s}")
     if n == 3:
         # swapped/recombined generators cover the same minterms in another order
         alt = [gens[0], gens[2], (gens[0] & ~gens[1]) ^ (~gens[0] & gens[1])]
-        got = set()
-        for s in range(size):
-            prod = one(n)
-            for r in range(1, 4):
-                g = alt[r - 1]
-                prod = prod & (g if (s >> (r - 1)) & 1 else ~g)
-            got.add(prod)
         expected = {~prime(n, j) for j in range(size)}
-        chk.ok(got == expected, "alternative generators do not cover the minterms")
-    return chk.report("TV", n, started)
+        chk.ok(set(_polarity_products(n, alt)) == expected,
+               "alternative generators do not cover the minterms")
+    return chk.report()
 
 
 def verify_resolution() -> Report:
@@ -297,9 +364,8 @@ def verify_resolution() -> Report:
     The implication must come out as the constant 1, and each step of
     the hand expansion must hold as a ring identity along the way.
     """
-    started = time.perf_counter()
-    chk = Checker()
     n = 3
+    chk = Checker("resolution", n)
     a, b, c = var(n, 1), var(n, 2), var(n, 3)
     premise = (a | b) & (~a | c)
     conclusion = b | c
@@ -325,10 +391,10 @@ def verify_resolution() -> Report:
            lambda: f"premise has {count_models(premise)} models, expected 4")
     chk.ok(count_models(conclusion) == 6,
            lambda: f"conclusion has {count_models(conclusion)} models, expected 6")
-    return chk.report("resolution", n, started)
+    return chk.report()
 
 
-def flip_group_check(n: int, rng: random.Random | None = None) -> Report:
+def flip_group_check(n: int) -> Report:
     """Exercise the group laws of the flips on sample functions.
 
     Checks the identity flip, self-inverses, composition by mask XOR,
@@ -337,13 +403,12 @@ def flip_group_check(n: int, rng: random.Random | None = None) -> Report:
     n <= 3, seeded random samples above that.
     """
     _check_cap(n, GROUP_CHECK_LIMIT, "group check")
-    started = time.perf_counter()
-    chk = Checker()
+    chk = Checker("flip-group", n)
     size = 1 << n
     if n <= 3:
         sample = [BoolFunc(n, t) for t in range(1 << size)]
     else:
-        rng = rng or random.Random(0x5EED)
+        rng = random.Random(0x5EED)
         sample = [BoolFunc(n, rng.getrandbits(size)) for _ in range(48)]
 
     for a in sample:
@@ -369,7 +434,7 @@ def flip_group_check(n: int, rng: random.Random | None = None) -> Report:
                 apply_flip(prime(n, j), s) == prime(n, pi(s, j, n).index),
                 lambda s=s, j=j: f"flip {s} does not send maxterm {j} to maxterm {s ^ j}",
             )
-    return chk.report("flip-group", n, started)
+    return chk.report()
 
 
 def conservation_check(a: BoolFunc) -> Report:
@@ -379,8 +444,7 @@ def conservation_check(a: BoolFunc) -> Report:
     and is capped at n <= 14 (about 0.6 s there).
     """
     _check_cap(a.n, 14, "conservation check")
-    started = time.perf_counter()
-    chk = Checker()
+    chk = Checker("conservation", a.n)
     want = count_models(a)
     for s in range(1 << a.n):
         got = count_models(apply_flip(a, s))
@@ -388,4 +452,4 @@ def conservation_check(a: BoolFunc) -> Report:
             got == want,
             lambda s=s, got=got, want=want: f"mask {s}: count {got} != {want}",
         )
-    return chk.report("conservation", a.n, started)
+    return chk.report()

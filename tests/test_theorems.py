@@ -1,6 +1,7 @@
 """The built-in verification suite and its report plumbing."""
 
-import random
+import inspect
+import time
 
 import pytest
 
@@ -8,13 +9,15 @@ from boolring import (
     THEOREM_CAPS,
     Report,
     SizeLimitError,
+    flip_group_check,
     verify_resolution,
     verify_ti,
     verify_tii_tiii,
     verify_tiv,
     verify_tv,
 )
-from boolring.report import Checker
+from boolring import theorems
+from boolring.theorems import Checker
 
 
 class TestVerifiers:
@@ -24,9 +27,6 @@ class TestVerifiers:
             assert report.passed, report.counterexample
             assert report.name == "TI"
             assert report.n == n
-
-    def test_ti_with_custom_rng(self):
-        assert verify_ti(3, random.Random(7)).passed
 
     def test_tii_tiii(self):
         for n in range(1, THEOREM_CAPS["TII+TIII"] + 1):
@@ -49,6 +49,10 @@ class TestVerifiers:
         assert report.passed, report.counterexample
         assert report.name == "resolution"
         assert report.n == 3
+
+    def test_checks_take_only_n(self):
+        for check in (verify_ti, verify_tii_tiii, verify_tiv, verify_tv, flip_group_check):
+            assert list(inspect.signature(check).parameters) == ["n"], check.__name__
 
     @pytest.mark.parametrize(
         "check,cap",
@@ -107,7 +111,7 @@ class TestReport:
 
 class TestChecker:
     def test_counts_and_first_failure(self):
-        chk = Checker()
+        chk = Checker("demo", 1)
         assert chk.ok(True, "never")
         assert not chk.ok(False, "first")
         assert not chk.ok(False, "second")
@@ -115,7 +119,7 @@ class TestChecker:
         assert chk.failure == "first"
 
     def test_bulk(self):
-        chk = Checker()
+        chk = Checker("demo", 1)
         chk.bulk(100, True, "never")
         assert chk.checks == 100
         chk.bulk(50, False, lambda: "bad batch")
@@ -126,15 +130,26 @@ class TestChecker:
         def explode():
             raise AssertionError("detail evaluated on success")
 
-        chk = Checker()
+        chk = Checker("demo", 1)
         chk.ok(True, explode)
         chk.bulk(5, True, explode)
         assert chk.failure is None
 
     def test_report(self):
-        chk = Checker()
+        chk = Checker("demo", 1)
         chk.ok(True, "fine")
-        report = chk.report("demo", 1, started=0.0)
+        report = chk.report()
         assert report.passed
         assert report.checks == 1
         assert report.elapsed > 0
+
+    def test_report_names_the_run_and_times_it_from_construction(self):
+        chk = Checker("demo", 4)
+        time.sleep(0.01)
+        report = chk.report()
+        assert (report.name, report.n, report.checks, report.counterexample) == ("demo", 4, 0, None)
+        assert report.elapsed >= 0.01
+
+    def test_only_checker_reads_the_clock(self):
+        source = inspect.getsource(theorems)
+        assert source.count("perf_counter") == inspect.getsource(Checker).count("perf_counter") > 0

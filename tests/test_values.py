@@ -176,6 +176,27 @@ def test_of_matches_constructor(cls, fields, built):
     assert value == built and hash(value) == hash(built)
 
 
+# classes with sequence fields: a builder from the given sequence and list
+# data for it; the constructor must keep its own tuple, never the list
+SEQUENCE_CASES = [
+    (LiteralProduct, lambda seq: LiteralProduct(2, seq), [True, False]),
+    (Formula, lambda seq: Formula(Var(1), 1, seq), ["a1"]),
+    (CnfDoc, lambda seq: CnfDoc(2, seq), [[-2, 1], [1]]),
+]
+
+
+@pytest.mark.parametrize("cls, build, items", SEQUENCE_CASES,
+                         ids=[c[0].__name__ for c in SEQUENCE_CASES])
+def test_list_fields_become_tuples(cls, build, items):
+    source = list(items)
+    value, from_tuple = build(source), build(tuple(items))
+    assert value == from_tuple and hash(value) == hash(from_tuple)
+    text, shown = repr(value), str(value)
+    source.clear()
+    assert value == from_tuple and hash(value) == hash(from_tuple)
+    assert repr(value) == text and str(value) == shown
+
+
 def test_match_tells_node_classes_apart():
     def kind(node):
         match node:
