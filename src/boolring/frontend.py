@@ -6,9 +6,10 @@ bare identifiers (assigned indices in order of first appearance; the
 two styles cannot be mixed).  ``!`` binds tightest, then ``&``, then
 ``|`` and ``^`` at equal strength, then right-associative ``->``.
 Chains mixing ``|`` and ``^`` without parentheses are rejected.  One
-operator table drives the parser and the renderer, and every pass over
-a formula keeps an explicit stack, so nesting depth is not limited by
-the recursion limit.
+operator table drives the parser and the renderer.  A parsed formula is
+one flat tuple of postfix code, and evaluating, flipping and rendering
+it are each one loop over that tuple, so nesting depth is not limited
+by the recursion limit.
 
 CNF documents land in ``CnfDoc`` and can be expanded into full-width
 form: a clause missing one variable doubles into the two clauses
@@ -20,7 +21,8 @@ document's truth vector, whose zeros are exactly those maxterms.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections import deque
+from typing import Iterable
 
 from .flipgroup import FlipMask, _mask_of
 from .primes import PrimeSet, decompose
@@ -29,13 +31,6 @@ from .ring import BoolFunc, check_var_count, _Frozen, _check_var, _decimal, _one
 __all__ = [
     "FormulaSyntaxError",
     "DimacsError",
-    "Const",
-    "Var",
-    "Not",
-    "And",
-    "Or",
-    "Xor",
-    "Implies",
     "Formula",
     "CnfDoc",
     "parse_formula",
@@ -63,140 +58,109 @@ class DimacsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# formula AST
+# operator table and formula code
+#
+# Each binary operator: its binding level (higher binds tighter) and
+# whether it groups to the right.  Prefix ``!`` binds tighter than all of
+# them.  ``|`` and ``^`` share a level, and a chain mixing them needs
+# parentheses.  The constants, ``!`` and the connectives are numbered -1,
+# -2, ... in the order of ``_OPCODE``; a connective's opcode minus
+# ``_SWAP`` is the same connective with its rhs code first.
+
+_BINARY = {"->": (1, True), "|": (2, False), "^": (2, False), "&": (3, False)}
+_OPCODE = {text: -k for k, text in enumerate(("0", "1", "!", *_BINARY), 1)}
+_ZERO, _ONE, _NOT, _IMPLIES, _OR, _XOR, _AND = _OPCODE.values()
+_SWAP = len(_BINARY)
+_LAST = _AND - _SWAP  # the lowest opcode
+
+# Per connective opcode: its text and the top opcodes it parenthesises on the
+# left and on the right: those that bind looser, and those at its level except
+# itself on the side it groups toward.
+_WRAP = {
+    _OPCODE[op]: (f" {op} ", *(
+        frozenset(_OPCODE[o] for o, (lv, _) in _BINARY.items()
+                  if lv < level or lv == level and (o != op or right == on_left))
+        for on_left in (True, False)))
+    for op, (level, right) in _BINARY.items()
+}
 
 
-class Const(_Frozen):
-    """The constant 0 or 1."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        object.__setattr__(self, "value", value)
-
-
-class Var(_Frozen):
-    """Variable ``a<index>``, counted from 1."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        object.__setattr__(self, "index", index)
-
-
-class Not(_Frozen):
-    """Negation ``!arg``."""
-
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Node) -> None:
-        object.__setattr__(self, "arg", arg)
-
-
-class _Binary(_Frozen):
-    """A binary connective over ``lhs`` and ``rhs``."""
-
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Node, rhs: Node) -> None:
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-
-class And(_Binary):
-    """Conjunction ``lhs & rhs``."""
-
-    __slots__ = ()
-
-
-class Or(_Binary):
-    """Disjunction ``lhs | rhs``."""
-
-    __slots__ = ()
-
-
-class Xor(_Binary):
-    """Exclusive or ``lhs ^ rhs``."""
-
-    __slots__ = ()
-
-
-class Implies(_Binary):
-    """Implication ``lhs -> rhs``."""
-
-    __slots__ = ()
-
-
-Node = Const | Var | Not | And | Or | Xor | Implies
+def _concat(first: deque, second: deque) -> deque:
+    """``first`` followed by ``second``, moving the items of the shorter one."""
+    if len(first) >= len(second):
+        first.extend(second)
+        return first
+    second.extendleft(reversed(first))
+    return second
 
 
 class Formula(_Frozen):
-    """A parsed formula with its variable count and display names."""
+    """A parsed formula: its code, variable count and display names.
 
-    __slots__ = ("root", "n", "names")
+    ``code`` is one tuple of ints in postfix order.  An entry r >= 1
+    pushes variable a<r>; -1 and -2 push the constants 0 and 1; -3 (``!``)
+    negates the top value; -4 (``->``), -5 (``|``), -6 (``^``) and -7
+    (``&``) replace the top two values, lhs below rhs, by the connective
+    over them, and -8 to -11 are the same four with the rhs below the lhs.
+    The constructor checks the code in one pass: every entry is a known
+    opcode or a variable in 1..n, and the code leaves exactly one value.
+    """
 
-    def __init__(self, root: Node, n: int, names: Iterable[str]) -> None:
-        object.__setattr__(self, "root", root)
+    __slots__ = ("code", "n", "names")
+
+    def __init__(self, code: Iterable[int], n: int, names: Iterable[str]) -> None:
+        code = tuple(code)
+        depth = 0
+        for op in code:
+            if isinstance(op, bool) or not isinstance(op, int):
+                raise TypeError(f"formula code entry must be an int, got {type(op).__name__}")
+            if op > 0:
+                _check_var(n, op)
+            elif not _LAST <= op < 0:
+                raise ValueError(f"unknown formula opcode {op}")
+            arity = 0 if op >= _ONE else 1 if op == _NOT else 2
+            if depth < arity:
+                raise ValueError(f"opcode {op} needs {arity} operands, the code has {depth}")
+            depth += 1 - arity
+        if depth != 1:
+            raise ValueError(f"formula code leaves {depth} values, not 1")
+        object.__setattr__(self, "code", code)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "names", tuple(names))
 
     def to_text(self) -> str:
         """Render back to the input syntax with minimal parentheses."""
-        names, pieces = self.names, []
-        pending: list[Node | str] = [self.root]  # nodes to render and text to emit, next last
-        emit, pop = pieces.append, pending.pop
-        while pending:
-            item = pop()
-            cls = type(item)
-            if cls is Var:
-                emit(names[item.index - 1])
-            elif cls is str:
-                emit(item)
-            elif cls is Const:
-                emit(str(item.value))
-            elif cls is Not:
-                emit("!")
-                arg = item.arg
-                pending += (")", arg, "(") if type(arg) in _BINARY_NODES else (arg,)
+        names = self.names
+        stack: list[tuple[deque[str], int]] = []  # per operand: text pieces, top connective or 0
+        push, pop = stack.append, stack.pop
+        for op in self.code:
+            if op > 0:
+                push((deque((names[op - 1],)), 0))
+            elif op == _NOT:
+                pieces, top = stack[-1]
+                if top:
+                    pieces.append(")")
+                pieces.appendleft("!(" if top else "!")
+                stack[-1] = (pieces, 0)
+            elif op >= _ONE:
+                push((deque(("0" if op == _ZERO else "1",)), 0))
             else:
-                text, wrap_lhs, wrap_rhs = _BINARY_NODES[cls]
-                lhs, rhs = item.lhs, item.rhs
-                if type(rhs) in wrap_rhs:
-                    pending += (")", rhs, "(")
-                else:
-                    pending.append(rhs)
-                pending.append(text)
-                if type(lhs) in wrap_lhs:
-                    pending += (")", lhs, "(")
-                else:
-                    pending.append(lhs)
-        return "".join(pieces)
+                rhs = pop()
+                lhs = stack[-1]
+                if op < _AND:
+                    lhs, rhs, op = rhs, lhs, op + _SWAP
+                text, wrap_lhs, wrap_rhs = _WRAP[op]
+                for (pieces, top), wrap in ((lhs, wrap_lhs), (rhs, wrap_rhs)):
+                    if top in wrap:
+                        pieces.appendleft("(")
+                        pieces.append(")")
+                lhs[0].append(text)
+                stack[-1] = (_concat(lhs[0], rhs[0]), op)
+        return "".join(stack[0][0])
 
 
 # ---------------------------------------------------------------------------
-# operator table, tokenizer and precedence parser
-#
-# Each binary operator: its binding level (higher binds tighter), whether
-# it groups to the right, and the node it builds.  Prefix ``!`` binds
-# tighter than all of them.  ``|`` and ``^`` share a level, and a chain
-# mixing them needs parentheses.
-
-_BINARY: dict[str, tuple[int, bool, type[_Binary]]] = {
-    "->": (1, True, Implies),
-    "|": (2, False, Or),
-    "^": (2, False, Xor),
-    "&": (3, False, And),
-}
-
-# Per node class: its operator text and the operand classes it parenthesises
-# on the left and on the right: those that bind looser, and those at its level
-# except itself on the side it groups toward.
-_BINARY_NODES = {
-    cls: (f" {op} ", *(frozenset(c for lv, _, c in _BINARY.values()
-                                 if lv < level or lv == level and (c is not cls or right == on_left))
-                       for on_left in (True, False)))
-    for op, (level, right, cls) in _BINARY.items()
-}
+# tokenizer and precedence parser
 
 _TOKEN_RE = re.compile(r"(->|[()!&|^]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S)")
 _INDEXED_RE = re.compile(r"a(\d+)\Z")
@@ -215,7 +179,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 class _Parser:
     """Operator precedence with an operand and an operator stack (Pratt,
-    POPL 1973; Norvell 1999), so nesting depth costs no recursion."""
+    POPL 1973; Norvell 1999), so nesting depth costs no recursion.
+
+    Each operand is its code and its Sethi-Ullman need, the most values
+    evaluating it holds at once.  A connective puts the code of the needier
+    operand first, so evaluation holds a few values however deep the
+    nesting, not one per level.
+    """
 
     def __init__(self, text: str, declared_n: int | None) -> None:
         self._tokens = _tokenize(text)
@@ -223,8 +193,8 @@ class _Parser:
         self.max_index = 0  # highest index so far, in either style
         self.named: dict[str, int] = {}
 
-    def parse(self) -> Node:
-        out: list[Node] = []
+    def parse(self) -> deque[int]:
+        out: list[tuple[deque[int], int]] = []  # operand code and need, innermost last
         ops: list[str] = []  # pending '(', '!' and binary operators, innermost last
         want_operand = True
         for tok, pos in self._tokens:
@@ -232,17 +202,23 @@ class _Parser:
                 if tok == "!" or tok == "(":
                     ops.append(tok)
                     continue
-                node = self._leaf(tok, pos)
+                operand = (deque((self._leaf(tok, pos),)), 1)
             else:
                 # build the pending operators that bind tighter, or as tight unless
                 # ``tok`` groups right; ')', the end or a stray operand builds all
-                level, right, _ = _BINARY.get(tok, (0, True, None))
+                level, right = _BINARY.get(tok, (0, True))
                 while ops and (top := _BINARY.get(ops[-1])) and top[0] >= level + right:
                     if top[0] == level and ops[-1] != tok:
                         raise FormulaSyntaxError("mixing '|' and '^' needs parentheses", pos)
-                    rhs = out.pop()
-                    out[-1] = top[2](out[-1], rhs)
-                    ops.pop()
+                    (rhs, r_need), (lhs, l_need) = out.pop(), out[-1]
+                    op = _OPCODE[ops.pop()]
+                    if r_need > l_need:
+                        code = _concat(rhs, lhs)
+                        code.append(op - _SWAP)
+                    else:
+                        code = _concat(lhs, rhs)
+                        code.append(op)
+                    out[-1] = (code, max(l_need, r_need) if l_need != r_need else l_need + 1)
                 if tok in _BINARY:
                     ops.append(tok)
                     want_operand = True
@@ -252,18 +228,18 @@ class _Parser:
                 if not ops or tok != ")":  # what is left on ops is an open '('
                     raise FormulaSyntaxError("expected ')'" if ops else f"unexpected {tok!r}", pos)
                 ops.pop()
-                node = out.pop()
+                operand = out.pop()
             while ops and ops[-1] == "!":
                 ops.pop()
-                node = Not(node)
-            out.append(node)
+                operand[0].append(_NOT)
+            out.append(operand)
             want_operand = False
-        return out[0]
+        return out[0][0]
 
-    def _leaf(self, tok: str, pos: int) -> Const | Var:
+    def _leaf(self, tok: str, pos: int) -> int:
         if tok.isdigit():
             if tok in ("0", "1"):
-                return Const(int(tok))
+                return _OPCODE[tok]
             raise FormulaSyntaxError(f"constants are 0 and 1, got {tok}", pos)
         if not tok:
             raise FormulaSyntaxError("unexpected end of input", pos)
@@ -290,7 +266,7 @@ class _Parser:
                 f"variable a{index} beyond declared count {self._declared_n}", pos
             )
         self.max_index = max(self.max_index, index)
-        return Var(index)
+        return index
 
 
 def parse_formula(text: str, n: int | None = None) -> Formula:
@@ -302,38 +278,12 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
     if n is not None:
         check_var_count(n)
     parser = _Parser(text, n)
-    root = parser.parse()
+    code = parser.parse()
     count = n if n is not None else max(parser.max_index, 1)
     check_var_count(count)
     names = tuple(parser.named)  # empty for indexed variables
     names += tuple(f"a{r}" for r in range(len(names) + 1, count + 1))
-    return Formula(root, count, names)
-
-
-def _postorder(root: Node) -> Iterator[tuple[Node, bool | None]]:
-    """Every node after its operands, with whether its rhs came first.
-
-    A binary node visits a binary operand before a leaf or a negation, so
-    a caller that keeps one result per finished operand holds a few of
-    them on chains that nest either way, not one per level.
-    """
-    stack: list[tuple[Node, bool | None]] = [(root, None)]
-    while stack:
-        item = stack.pop()
-        node, rhs_first = item
-        cls = type(node)
-        if rhs_first is not None or cls is Var or cls is Const:
-            yield item
-        elif cls is Not:
-            stack += ((node, False), (node.arg, None))
-        elif cls in _BINARY_NODES:
-            lhs, rhs = node.lhs, node.rhs
-            if type(rhs) in _BINARY_NODES and type(lhs) not in _BINARY_NODES:
-                stack += ((node, True), (lhs, None), (rhs, None))
-            else:
-                stack += ((node, False), (rhs, None), (lhs, None))
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
+    return Formula._of(tuple(code), count, names)
 
 
 def eval_ast(f: Formula) -> BoolFunc:
@@ -345,25 +295,24 @@ def eval_ast(f: Formula) -> BoolFunc:
     check_var_count(f.n)
     n, ones, tts = f.n, _ones(f.n), _var_tts(f.n)
     values: list[int] = []
-    for node, rhs_first in _postorder(f.root):
-        cls = type(node)
-        if cls is Var:
-            _check_var(n, node.index)
-            values.append(tts[node.index - 1])
-        elif cls is Const:
-            values.append(ones if node.value else 0)
-        elif cls is Not:
+    push, pop = values.append, values.pop
+    for op in f.code:
+        if op > 0:
+            push(tts[op - 1])
+        elif op == _NOT:
             values[-1] ^= ones
+        elif op >= _ONE:
+            push(0 if op == _ZERO else ones)
         else:
-            q = values.pop()
+            q = pop()
             p = values[-1]
-            if rhs_first:
-                p, q = q, p
-            if cls is And:
+            if op < _AND:
+                p, q, op = q, p, op + _SWAP
+            if op == _AND:
                 values[-1] = p & q
-            elif cls is Or:
+            elif op == _OR:
                 values[-1] = p | q
-            elif cls is Xor:
+            elif op == _XOR:
                 values[-1] = p ^ q
             else:
                 values[-1] = (ones ^ p) | q
@@ -373,21 +322,16 @@ def eval_ast(f: Formula) -> BoolFunc:
 def ast_flip(f: Formula, s: FlipMask | int) -> Formula:
     """Substitute each flipped variable by its negation, collapsing ``!!``."""
     mask = _mask_of(f.n, s)
-    flipped = {r for r in range(1, f.n + 1) if (mask >> (r - 1)) & 1}
-    out: list[Node] = []
-    for node, rhs_first in _postorder(f.root):
-        cls = type(node)
-        if cls is Var:
-            out.append(Not(node) if node.index in flipped else node)
-        elif cls is Const:
-            out.append(node)
-        elif cls is Not:
-            inner = out[-1]
-            out[-1] = inner.arg if type(inner) is Not else Not(inner)
+    out: list[int] = []
+    emit = out.append
+    for op in f.code:
+        if op == _NOT and out[-1] == _NOT:
+            out.pop()
         else:
-            rhs = out.pop()
-            out[-1] = cls(rhs, out[-1]) if rhs_first else cls(out[-1], rhs)
-    return Formula(out[0], f.n, f.names)
+            emit(op)
+            if op > 0 and (mask >> (op - 1)) & 1:
+                emit(_NOT)
+    return Formula._of(tuple(out), f.n, f.names)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import random
 import time
 from functools import reduce
 from operator import and_, xor
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .flipgroup import apply_flip, pi
 from .primes import compose, decompose, prime
@@ -235,9 +235,9 @@ class AllowedMapTable(_Frozen):
 
     __slots__ = ("n", "maps")
 
-    def __init__(self, n: int, maps: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, n: int, maps: Iterable[Iterable[int]]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "maps", tuple(tuple(m) for m in maps))
 
 
 def enumerate_allowed_maps(n: int) -> AllowedMapTable:

@@ -5,7 +5,7 @@ are the slower, more literal derivations: per-monomial AND-products,
 pairwise monomial multiplication, clause widening one variable at a
 time, maxterm products and minterm sums, the arithmetic form of the
 flip map, per-bit scans, text rendered one variable at a time, the
-former byte-wise sort key of the polynomial text, formula trees and
+former byte-wise sort key of the polynomial text, formula code and
 clauses evaluated once per assignment, source-level evaluation and
 flips of CNF documents, and the allowed-map search run one candidate
 map at a time.  Each is compared with the production route
@@ -57,10 +57,13 @@ from boolring import (
     zero,
 )
 from boolring.cli import main
-from boolring.frontend import And, Const, Implies, Not, Or, Var, Xor
 from boolring.ring import _set_bits
 
 MAX_N = 10
+
+# the opcodes Formula documents; a connective's opcode minus SWAP has its rhs code first
+ZERO, ONE, NOT, IMPLIES, OR, XOR, AND = -1, -2, -3, -4, -5, -6, -7
+SWAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -166,21 +169,27 @@ def pack(positions):
     return x
 
 
-def ref_eval_node(node, j):
-    """Value of a formula node under assignment j, walking the tree once per assignment."""
-    kind = type(node)
-    if kind is Const:
-        return node.value
-    if kind is Var:
-        return (j >> (node.index - 1)) & 1
-    if kind is Not:
-        return 1 - ref_eval_node(node.arg, j)
-    a, b = ref_eval_node(node.lhs, j), ref_eval_node(node.rhs, j)
-    return {And: a & b, Or: a | b, Xor: a ^ b, Implies: (1 - a) | b}[kind]
+def ref_eval_code(code, j):
+    """Value of formula code under assignment j, one 0/1 int per operand."""
+    stack = []
+    for op in code:
+        if op > 0:
+            stack.append((j >> (op - 1)) & 1)
+        elif op in (ZERO, ONE):
+            stack.append(int(op == ONE))
+        elif op == NOT:
+            stack.append(1 - stack.pop())
+        else:
+            b, a = stack.pop(), stack.pop()
+            if op < AND:
+                a, b, op = b, a, op + SWAP
+            stack.append({AND: a & b, OR: a | b, XOR: a ^ b, IMPLIES: (1 - a) | b}[op])
+    (value,) = stack
+    return value
 
 
 def ref_eval_ast(f):
-    return BoolFunc(f.n, pack((j for j in range(1 << f.n) if ref_eval_node(f.root, j))))
+    return BoolFunc(f.n, pack((j for j in range(1 << f.n) if ref_eval_code(f.code, j))))
 
 
 _REVERSED_BYTES = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
@@ -331,21 +340,23 @@ def name_lists(draw, n):
 
 @st.composite
 def formulas(draw, max_n=8):
-    """Formula trees over every node type, Const and Implies included."""
+    """Formula code over every opcode, the constants, ``->`` and the swapped
+    connectives included."""
     n = draw(sizes(max_n))
     leaves = st.one_of(
-        st.builds(Const, st.integers(min_value=0, max_value=1)),
-        st.builds(Var, st.integers(min_value=1, max_value=n)),
+        st.sampled_from([[ZERO], [ONE]]),
+        st.integers(min_value=1, max_value=n).map(lambda r: [r]),
     )
 
     def branches(sub):
         return st.one_of(
-            st.builds(Not, sub),
-            *(st.builds(cls, sub, sub) for cls in (And, Or, Xor, Implies)),
+            sub.map(lambda arg: arg + [NOT]),
+            st.tuples(sub, sub, st.sampled_from([AND, OR, XOR, IMPLIES]), st.booleans()).map(
+                lambda t: t[1] + t[0] + [t[2] - SWAP] if t[3] else t[0] + t[1] + [t[2]]),
         )
 
-    root = draw(st.recursive(leaves, branches, max_leaves=24))
-    return Formula(root, n, tuple(f"a{r}" for r in range(1, n + 1)))
+    code = draw(st.recursive(leaves, branches, max_leaves=24))
+    return Formula(code, n, tuple(f"a{r}" for r in range(1, n + 1)))
 
 
 def all_clauses(n):
@@ -696,12 +707,15 @@ class TestBulkRoutes:
 
     def test_eval_ast_every_node_type(self):
         n = 3
-        x1, x2, x3 = Var(1), Var(2), Var(3)
-        root = Xor(Implies(Not(x1), And(x2, Const(1))), Or(x3, Const(0)))
-        f = Formula(root, n, ("a1", "a2", "a3"))
-        assert eval_ast(f) == ref_eval_ast(f)
-        assert eval_ast(Formula(Const(1), n, f.names)) == one(n)
-        assert eval_ast(Formula(Const(0), n, f.names)) == zero(n)
+        # (!a1 -> a2 & 1) ^ (a3 | 0), then the same with every connective's operands swapped
+        code = (1, NOT, 2, ONE, AND, IMPLIES, 3, ZERO, OR, XOR)
+        swapped = (ZERO, 3, OR - SWAP, ONE, 2, AND - SWAP, 1, NOT, IMPLIES - SWAP, XOR - SWAP)
+        f = Formula(code, n, ("a1", "a2", "a3"))
+        g = Formula(swapped, n, f.names)
+        assert eval_ast(f) == ref_eval_ast(f) == eval_ast(g) == ref_eval_ast(g)
+        assert f.to_text() == g.to_text() == "(!a1 -> a2 & 1) ^ (a3 | 0)"
+        assert eval_ast(Formula((ONE,), n, f.names)) == one(n)
+        assert eval_ast(Formula((ZERO,), n, f.names)) == zero(n)
 
     def test_eval_cnf_exhaustive_small(self):
         for n in (1, 2, 3):

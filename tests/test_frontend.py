@@ -1,5 +1,7 @@
 """Formula parsing and rendering, DIMACS documents, clause expansion."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -31,36 +33,70 @@ from boolring import (
     var,
     zero,
 )
-from boolring.frontend import And, Const, Implies, Not, Or, Var, Xor
+from boolring import Formula
 
 RESOLUTION_PREMISE = "c resolution premise\np cnf 3 2\n1 2 0\n-1 3 0\n"
 
+# the opcodes Formula documents; a connective's opcode minus SWAP has its rhs code first
+ZERO, ONE, NOT, IMPLIES, OR, XOR, AND = -1, -2, -3, -4, -5, -6, -7
+SWAP = 4
+CONNECTIVES = {IMPLIES: "->", OR: "|", XOR: "^", AND: "&"}
 
-def oracle_eval(node, env):
-    """Plain bool semantics, isinstance chain on purpose (the package
+
+def tree(code):
+    """Nested tuples ``(op, lhs, rhs)``, ``("!", arg)``, ints and ``"0"``/``"1"``,
+    with every connective in source order, whatever its operand order in code."""
+    stack = []
+    for op in code:
+        if op > 0:
+            stack.append(op)
+        elif op in (ZERO, ONE):
+            stack.append("0" if op == ZERO else "1")
+        elif op == NOT:
+            stack[-1] = ("!", stack[-1])
+        else:
+            rhs = stack.pop()
+            lhs = stack.pop()
+            if op < AND:
+                lhs, rhs, op = rhs, lhs, op + SWAP
+            stack.append((CONNECTIVES[op], lhs, rhs))
+    (root,) = stack
+    return root
+
+
+def oracle_eval(code, env):
+    """Plain bool semantics, one Python bool per operand (the package
     evaluates through ring operations; this must stay a separate route)."""
-    if isinstance(node, Const):
-        return bool(node.value)
-    if isinstance(node, Var):
-        return env[node.index]
-    if isinstance(node, Not):
-        return not oracle_eval(node.arg, env)
-    if isinstance(node, And):
-        return oracle_eval(node.lhs, env) and oracle_eval(node.rhs, env)
-    if isinstance(node, Or):
-        return oracle_eval(node.lhs, env) or oracle_eval(node.rhs, env)
-    if isinstance(node, Xor):
-        return oracle_eval(node.lhs, env) != oracle_eval(node.rhs, env)
-    if isinstance(node, Implies):
-        return (not oracle_eval(node.lhs, env)) or oracle_eval(node.rhs, env)
-    raise TypeError(node)
+    stack = []
+    for op in code:
+        if op > 0:
+            stack.append(env[op])
+        elif op in (ZERO, ONE):
+            stack.append(op == ONE)
+        elif op == NOT:
+            stack.append(not stack.pop())
+        else:
+            q = stack.pop()
+            p = stack.pop()
+            if op < AND:
+                p, q, op = q, p, op + SWAP
+            if op == AND:
+                stack.append(p and q)
+            elif op == OR:
+                stack.append(p or q)
+            elif op == XOR:
+                stack.append(p != q)
+            else:
+                stack.append((not p) or q)
+    (value,) = stack
+    return value
 
 
-def oracle_vector(node, n):
+def oracle_vector(code, n):
     out = 0
     for j in range(1 << n):
         env = {r: bool((j >> (r - 1)) & 1) for r in range(1, n + 1)}
-        if oracle_eval(node, env):
+        if oracle_eval(code, env):
             out |= 1 << j
     return out
 
@@ -78,17 +114,19 @@ def oracle_cnf_vector(doc):
     return out
 
 
-def random_ast(rng, n, depth):
+def random_code(rng, n, depth):
+    """Code of a random formula, each connective's operands in either order."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.15:
-            return Const(rng.randint(0, 1))
-        return Var(rng.randint(1, n))
+            return [rng.choice((ZERO, ONE))]
+        return [rng.randint(1, n)]
     pick = rng.randrange(5)
     if pick == 0:
-        return Not(random_ast(rng, n, depth - 1))
-    lhs = random_ast(rng, n, depth - 1)
-    rhs = random_ast(rng, n, depth - 1)
-    return (And, Or, Xor, Implies)[pick - 1](lhs, rhs)
+        return random_code(rng, n, depth - 1) + [NOT]
+    lhs = random_code(rng, n, depth - 1)
+    rhs = random_code(rng, n, depth - 1)
+    op = (AND, OR, XOR, IMPLIES)[pick - 1]
+    return rhs + lhs + [op - SWAP] if rng.random() < 0.5 else lhs + rhs + [op]
 
 
 def random_cnf(rng, n, max_clauses):
@@ -102,33 +140,28 @@ def random_cnf(rng, n, max_clauses):
 
 class TestParser:
     def test_precedence(self):
-        assert parse_formula("a1 | a2 & a3").root == Or(
-            Var(1), And(Var(2), Var(3))
-        )
-        assert parse_formula("!a1 & a2").root == And(Not(Var(1)), Var(2))
-        assert parse_formula("(a1 | a2) & a3").root == And(
-            Or(Var(1), Var(2)), Var(3)
-        )
+        # the operand needing more values comes first: a1's rhs here
+        assert parse_formula("a1 | a2 & a3").code == (2, 3, AND, 1, OR - SWAP)
+        assert tree(parse_formula("a1 | a2 & a3").code) == ("|", 1, ("&", 2, 3))
+        assert parse_formula("!a1 & a2").code == (1, NOT, 2, AND)
+        assert parse_formula("(a1 | a2) & a3").code == (1, 2, OR, 3, AND)
 
     def test_left_assoc_chains(self):
-        assert parse_formula("a1 ^ a2 ^ a3").root == Xor(
-            Xor(Var(1), Var(2)), Var(3)
-        )
-        assert parse_formula("a1 | a2 | a3").root == Or(
-            Or(Var(1), Var(2)), Var(3)
-        )
+        assert parse_formula("a1 ^ a2 ^ a3").code == (1, 2, XOR, 3, XOR)
+        assert parse_formula("a1 | a2 | a3").code == (1, 2, OR, 3, OR)
 
     def test_implies_right_assoc(self):
-        assert parse_formula("a1 -> a2 -> a3").root == Implies(
-            Var(1), Implies(Var(2), Var(3))
-        )
-        assert parse_formula("(a1 -> a2) -> a3").root == Implies(
-            Implies(Var(1), Var(2)), Var(3)
-        )
+        assert parse_formula("a1 -> a2 -> a3").code == (2, 3, IMPLIES, 1, IMPLIES - SWAP)
+        assert tree(parse_formula("a1 -> a2 -> a3").code) == ("->", 1, ("->", 2, 3))
+        assert parse_formula("(a1 -> a2) -> a3").code == (1, 2, IMPLIES, 3, IMPLIES)
+
+    def test_equal_needs_keep_source_order(self):
+        assert parse_formula("(a1 & a2) -> (a3 | a1)").code == (1, 2, AND, 3, 1, OR, IMPLIES)
+        assert parse_formula("!(a1 ^ a2) & !!a3").code == (1, 2, XOR, NOT, 3, NOT, NOT, AND)
 
     def test_constants(self):
-        assert parse_formula("0").root == Const(0)
-        assert parse_formula("1 & a2").root == And(Const(1), Var(2))
+        assert parse_formula("0").code == (ZERO,)
+        assert parse_formula("1 & a2").code == (ONE, 2, AND)
         with pytest.raises(FormulaSyntaxError):
             parse_formula("2")
 
@@ -143,7 +176,7 @@ class TestParser:
         f = parse_formula("y | x & y")
         assert f.names == ("y", "x")
         assert f.n == 2
-        assert f.root == Or(Var(1), And(Var(2), Var(1)))
+        assert tree(f.code) == ("|", 1, ("&", 2, 1))
 
     def test_styles_cannot_mix(self):
         with pytest.raises(FormulaSyntaxError):
@@ -228,14 +261,12 @@ class TestToText:
         rng = random.Random(606)
         for _ in range(300):
             n = rng.randint(1, 5)
-            root = random_ast(rng, n, rng.randint(1, 5))
+            code = random_code(rng, n, rng.randint(1, 5))
             names = tuple(f"a{r}" for r in range(1, n + 1))
-            from boolring import Formula
-
-            f = Formula(root, n, names)
+            f = Formula(code, n, names)
             rendered = f.to_text()
             again = parse_formula(rendered, n)
-            assert again.root == root, rendered
+            assert tree(again.code) == tree(code), rendered
             assert again.to_text() == rendered
 
 
@@ -257,14 +288,12 @@ class TestEvalAst:
 
     def test_matches_oracle_random(self):
         rng = random.Random(1105)
-        from boolring import Formula
-
         for _ in range(400):
             n = rng.randint(1, 6)
-            root = random_ast(rng, n, rng.randint(1, 6))
+            code = random_code(rng, n, rng.randint(1, 6))
             names = tuple(f"a{r}" for r in range(1, n + 1))
-            got = eval_ast(Formula(root, n, names))
-            assert got.tt == oracle_vector(root, n)
+            got = eval_ast(Formula(code, n, names))
+            assert got.tt == oracle_vector(code, n)
 
 
 class TestAstFlip:
@@ -280,13 +309,11 @@ class TestAstFlip:
 
     def test_agrees_with_vector_flip(self):
         rng = random.Random(8842)
-        from boolring import Formula
-
         for _ in range(300):
             n = rng.randint(1, 8)
-            root = random_ast(rng, n, rng.randint(1, 6))
+            code = random_code(rng, n, rng.randint(1, 6))
             names = tuple(f"a{r}" for r in range(1, n + 1))
-            f = Formula(root, n, names)
+            f = Formula(code, n, names)
             s = rng.randrange(1 << n)
             assert eval_ast(ast_flip(f, s)) == apply_flip(eval_ast(f), s)
 
@@ -320,8 +347,7 @@ DEEP_SHAPES = deep_shapes()
 
 
 class TestDeepInput:
-    """Nesting depth far past the interpreter's recursion limit.  Results are
-    compared as vectors and text: node equality itself still recurses."""
+    """Nesting depth far past the interpreter's recursion limit."""
 
     @pytest.mark.parametrize("shape", list(DEEP_SHAPES))
     def test_eval_flip_and_render(self, shape):
@@ -332,6 +358,21 @@ class TestDeepInput:
             assert eval_ast(ast_flip(f, s)) == apply_flip(want, s)
         rendered = f.to_text()
         assert parse_formula(rendered, 4).to_text() == rendered
+
+    @pytest.mark.parametrize("shape", [*DEEP_SHAPES, "and_chain_100k"])
+    def test_value_protocol(self, shape):
+        if shape == "and_chain_100k":
+            text = " & ".join(f"a{k % 4 + 1}" for k in range(100_000))
+        else:
+            text = DEEP_SHAPES[shape][0]
+        f, again = parse_formula(text, 4), parse_formula(text, 4)
+        assert f == again and f is not again
+        assert hash(f) == hash(again)
+        assert repr(f) == repr(again) and repr(f).startswith("Formula(code=(")
+        copies = [copy.deepcopy(f)]
+        copies += [pickle.loads(pickle.dumps(f, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert c == f and hash(c) == hash(f)
 
 
 class TestCnfDoc:

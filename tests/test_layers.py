@@ -136,10 +136,6 @@ def test_namespace():
     assert PUBLIC_NAMES <= set(namespace)
 
 
-# the formula node classes are public in frontend but not package names
-NODE_CLASSES = {"Const", "Var", "Not", "And", "Or", "Xor", "Implies"}
-
-
 def test_export_table_matches_each_modules_all():
     assert set(boolring._EXPORTS) == {p.stem for p in SRC.glob("*.py")} - {"__init__", "cli"}
     unexported = set()
@@ -147,7 +143,7 @@ def test_export_table_matches_each_modules_all():
         listed = set(import_module(f"boolring.{module}").__all__)
         assert set(names) <= listed, module
         unexported |= listed - set(names)
-    assert unexported == NODE_CLASSES
+    assert unexported == set()
 
 
 def test_submodules_resolve_after_a_bare_import():

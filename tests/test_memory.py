@@ -5,8 +5,9 @@ result and the temporaries of one butterfly or XOR step.  The bound is
 eight vectors at n = 20; a route that builds one Python object per
 monomial or per index exceeds it by orders of magnitude.  The
 evaluators are held to the same bound: a 3-CNF of 4n clauses, a
-formula of bounded depth, and two 1000-deep chains that nest to the
-right, each keep a few vectors live, not one per literal, node or level.
+formula of bounded depth, two 1000-deep chains that nest to the right
+and a 300-deep chain of conjunctions nesting to the right each keep a
+few vectors live, not one per literal, node or level.
 
 What the calls leave behind is bounded too: the variable vectors of the
 last n, which a call at another n replaces.
@@ -80,7 +81,7 @@ def bounded_formula(rng, n, depth):
 
 
 @pytest.mark.parametrize("name", ["eval_cnf", "eval_ast", "eval_ast_implies_chain",
-                                  "eval_ast_right_nested"])
+                                  "eval_ast_right_nested", "eval_ast_pair_chain"])
 def test_evaluator_peak_is_a_few_vectors(name):
     rng = random.Random(21)
     doc = random_3cnf(rng, N, 4 * N)
@@ -89,9 +90,13 @@ def test_evaluator_peak_is_a_few_vectors(name):
     implies_chain = parse_formula(" -> ".join(f"!a{k % N + 1}" for k in range(1000)), N)
     right_nested = parse_formula(
         "".join(f"a{k % N + 1} & (" for k in range(999)) + "a1" + ")" * 999, N)
+    # 300 levels, each a conjunction beside the deeper rest: (a1 & a2) -> ((a2 & a3) -> ...)
+    pair_chain = parse_formula("".join(
+        f"(a{k % N + 1} & a{(k + 1) % N + 1}) -> (" for k in range(299)) + "a1 & a2" + ")" * 299, N)
     calls = {"eval_cnf": lambda: eval_cnf(doc), "eval_ast": lambda: eval_ast(formula),
              "eval_ast_implies_chain": lambda: eval_ast(implies_chain),
-             "eval_ast_right_nested": lambda: eval_ast(right_nested)}
+             "eval_ast_right_nested": lambda: eval_ast(right_nested),
+             "eval_ast_pair_chain": lambda: eval_ast(pair_chain)}
     peak = peak_bytes(calls[name])
     assert peak <= LIMIT_BYTES, f"{name} peaked at {peak / VECTOR_BYTES:.1f} vectors"
 

@@ -17,6 +17,7 @@ from boolring import (
     CnfDoc,
     DimacsError,
     FlipMask,
+    Formula,
     LiteralProduct,
     PrimeSet,
     SizeLimitError,
@@ -157,6 +158,24 @@ CASES = [
     ("LiteralProduct(2, (1, 'x'))", lambda: LiteralProduct(2, (1, "x")), TypeError),
     ("CnfDoc(2, ((True,),))", lambda: CnfDoc(2, ((True,),)), DimacsError),
     ("CnfDoc(2, ((1, False),))", lambda: CnfDoc(2, ((1, False),)), DimacsError),
+    # formula code: entries, opcodes, variables and stack depth
+    ("Formula((True,), 1, ...)", lambda: Formula((True,), 1, ("a1",)), TypeError),
+    ("Formula((1.0,), 1, ...)", lambda: Formula((1.0,), 1, ("a1",)), TypeError),
+    ("Formula(('1',), 1, ...)", lambda: Formula(("1",), 1, ("a1",)), TypeError),
+    ("Formula((1, 1, -7, False), 1, ...)", lambda: Formula((1, 1, -7, False), 1, ("a1",)),
+     TypeError),
+    ("Formula((0,), 1, ...)", lambda: Formula((0,), 1, ("a1",)), ValueError),
+    ("Formula((1, 1, -12), 1, ...)", lambda: Formula((1, 1, -12), 1, ("a1",)), ValueError),
+    ("Formula((2,), 1, ...)", lambda: Formula((2,), 1, ("a1",)), ValueError),
+    ("Formula((1, -3, 3, -7), 2, ...)", lambda: Formula((1, -3, 3, -7), 2, ("a1", "a2")),
+     ValueError),
+    ("Formula((-3,), 1, ...)", lambda: Formula((-3,), 1, ("a1",)), ValueError),
+    ("Formula((1, -7), 1, ...)", lambda: Formula((1, -7), 1, ("a1",)), ValueError),
+    ("Formula((1, -11), 1, ...)", lambda: Formula((1, -11), 1, ("a1",)), ValueError),
+    ("Formula((), 1, ...)", lambda: Formula((), 1, ("a1",)), ValueError),
+    ("Formula((1, 1), 1, ...)", lambda: Formula((1, 1), 1, ("a1",)), ValueError),
+    ("Formula((1, -1, -7, -2), 1, ...)", lambda: Formula((1, -1, -7, -2), 1, ("a1",)),
+     ValueError),
     # a mask or assignment over another count than the explicit n
     ("pi(FlipMask(2, 1), 1, 3)", lambda: pi(FlipMask(2, 1), 1, 3), ValueError),
     ("pi(1, Assignment(2, 1), 3)", lambda: pi(1, Assignment(2, 1), 3), ValueError),

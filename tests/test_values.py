@@ -18,6 +18,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from boolring import (
     PrimeSet,
     Report,
 )
-from boolring.frontend import And, Const, Implies, Not, Or, Var, Xor
+from boolring.ring import _Frozen
 
 # class, its fields, a builder of a fresh value, a value differing in one
 # field, and the exact repr of the built value
@@ -51,27 +52,38 @@ CASES = [
     (AllowedMapTable, ("n", "maps"), lambda: AllowedMapTable(1, ((0, 1),)),
      AllowedMapTable(1, ((1, 0),)), "AllowedMapTable(n=1, maps=((0, 1),))"),
     (FlipMask, ("n", "s"), lambda: FlipMask(2, 1), FlipMask(3, 1), "FlipMask(n=2, s=1)"),
-    (Const, ("value",), lambda: Const(1), Const(0), "Const(value=1)"),
-    (Var, ("index",), lambda: Var(2), Var(1), "Var(index=2)"),
-    (Not, ("arg",), lambda: Not(Var(1)), Not(Var(2)), "Not(arg=Var(index=1))"),
-    (And, ("lhs", "rhs"), lambda: And(Var(1), Const(0)), And(Var(1), Const(1)),
-     "And(lhs=Var(index=1), rhs=Const(value=0))"),
-    (Or, ("lhs", "rhs"), lambda: Or(Var(1), Const(0)), Or(Var(2), Const(0)),
-     "Or(lhs=Var(index=1), rhs=Const(value=0))"),
-    (Xor, ("lhs", "rhs"), lambda: Xor(Var(1), Const(0)), Xor(Const(0), Var(1)),
-     "Xor(lhs=Var(index=1), rhs=Const(value=0))"),
-    (Implies, ("lhs", "rhs"), lambda: Implies(Var(1), Const(0)), Implies(Var(1), Var(1)),
-     "Implies(lhs=Var(index=1), rhs=Const(value=0))"),
-    (Formula, ("root", "n", "names"), lambda: Formula(Not(Var(1)), 1, ("a1",)),
-     Formula(Not(Var(1)), 1, ("x",)), "Formula(root=Not(arg=Var(index=1)), n=1, names=('a1',))"),
+    (Formula, ("code", "n", "names"), lambda: Formula((1, -3), 1, ("a1",)),
+     Formula((1, -3), 1, ("x",)), "Formula(code=(1, -3), n=1, names=('a1',))"),
     (CnfDoc, ("n", "clauses"), lambda: CnfDoc(2, ((-2, 1),)), CnfDoc(2, ((1,),)),
      "CnfDoc(n=2, clauses=((1, -2),))"),
     (Report, ("name", "n", "passed", "checks", "elapsed", "counterexample"),
      lambda: Report("TV", 2, True, 7, 0.5), Report("TV", 2, False, 7, 0.5, "j=1"),
      "Report(name='TV', n=2, passed=True, checks=7, elapsed=0.5, counterexample=None)"),
 ]
-
 IDS = [case[0].__name__ for case in CASES]
+CLASSES = set(IDS)
+
+
+def formula(code, n=2):
+    return Formula(code, n, [f"a{r}" for r in range(1, n + 1)])
+
+
+# one more Formula row per top operation of its code, named after it: 1 and 2
+# push a1 and a2, -1 and -2 the constants 0 and 1, -3 is '!', -4 to -7 are
+# '->', '|', '^' and '&', and -8 to -11 the same with the rhs code first
+SHAPES = {
+    "Const": ((-2,), formula((-1,))),
+    "Var": ((2,), formula((1,))),
+    "Not": ((1, -3), formula((2, -3))),
+    "And": ((1, -1, -7), formula((1, -2, -7))),
+    "Or": ((1, -1, -5), formula((1, -1, -9))),
+    "Xor": ((1, -1, -6), formula((1, -1, -7))),
+    "Implies": ((1, -1, -4), formula((1, -1, -8))),
+}
+for code, other in SHAPES.values():
+    CASES.append((Formula, ("code", "n", "names"), lambda code=code: formula(list(code)), other,
+                  f"Formula(code={code!r}, n=2, names=('a1', 'a2'))"))
+IDS += list(SHAPES)
 
 
 def field_tuple(value, fields):
@@ -103,6 +115,14 @@ def positional(value, arity):
 def test_every_value_class_is_covered():
     assert len(CASES) == 17
     assert len(set(IDS)) == 17
+    for module in boolring._EXPORTS:
+        import_module(f"boolring.{module}")
+    subclasses, pending = set(), [_Frozen]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            subclasses.add(sub.__name__)
+            pending.append(sub)
+    assert subclasses == CLASSES
 
 
 @pytest.mark.parametrize("cls, fields, make, other, text", CASES, ids=IDS)
@@ -166,6 +186,7 @@ OF_CASES = [
     (Anf, (2, 10), Anf(2, [[1], [1, 2]])),
     (PrimeSet, (2, 9), PrimeSet(2, [0, 3])),
     (Assignment, (2, 3), Assignment(2, 3)),
+    (Formula, ((1, 2, -7), 2, ("a1", "a2")), Formula([1, 2, -7], 2, ["a1", "a2"])),
 ]
 
 
@@ -178,16 +199,17 @@ def test_of_matches_constructor(cls, fields, built):
 
 # classes with sequence fields: a builder from the given sequence and list
 # data for it; the constructor must keep its own tuple, never the list
-SEQUENCE_CASES = [
-    (LiteralProduct, lambda seq: LiteralProduct(2, seq), [True, False]),
-    (Formula, lambda seq: Formula(Var(1), 1, seq), ["a1"]),
-    (CnfDoc, lambda seq: CnfDoc(2, seq), [[-2, 1], [1]]),
-]
+SEQUENCE_CASES = {
+    "LiteralProduct": (lambda seq: LiteralProduct(2, seq), [True, False]),
+    "Formula": (lambda seq: Formula((1,), 1, seq), ["a1"]),
+    "Formula-code": (lambda seq: Formula(seq, 2, ("a1", "a2")), [1, 2, -3, -7]),
+    "CnfDoc": (lambda seq: CnfDoc(2, seq), [[-2, 1], [1]]),
+    "AllowedMapTable": (lambda seq: AllowedMapTable(1, seq), [[0, 1], [1, 0]]),
+}
 
 
-@pytest.mark.parametrize("cls, build, items", SEQUENCE_CASES,
-                         ids=[c[0].__name__ for c in SEQUENCE_CASES])
-def test_list_fields_become_tuples(cls, build, items):
+@pytest.mark.parametrize("build, items", SEQUENCE_CASES.values(), ids=SEQUENCE_CASES)
+def test_list_fields_become_tuples(build, items):
     source = list(items)
     value, from_tuple = build(source), build(tuple(items))
     assert value == from_tuple and hash(value) == hash(from_tuple)
@@ -195,24 +217,6 @@ def test_list_fields_become_tuples(cls, build, items):
     source.clear()
     assert value == from_tuple and hash(value) == hash(from_tuple)
     assert repr(value) == text and str(value) == shown
-
-
-def test_match_tells_node_classes_apart():
-    def kind(node):
-        match node:
-            case And(Var(1), Const(0)):
-                return "and"
-            case Or(p, q):
-                return f"or {p.index} {q.index}"
-            case Not(Var(r)):
-                return f"not {r}"
-        return None
-
-    assert kind(And(Var(1), Const(0))) == "and"
-    assert kind(Xor(Var(1), Const(0))) is None
-    assert kind(Or(Var(2), Var(3))) == "or 2 3"
-    assert kind(Not(Var(4))) == "not 4"
-    assert kind(Implies(Var(1), Const(0))) is None
 
 
 def test_cli_import_loads_no_heavy_modules():
