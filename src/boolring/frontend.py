@@ -102,14 +102,18 @@ class Formula(_Frozen):
     negates the top value; -4 (``->``), -5 (``|``), -6 (``^``) and -7
     (``&``) replace the top two values, lhs below rhs, by the connective
     over them, and -8 to -11 are the same four with the rhs below the lhs.
-    The constructor checks the code in one pass: every entry is a known
-    opcode or a variable in 1..n, and the code leaves exactly one value.
+    The constructor checks n, one name per variable, and the code in one
+    pass: every entry is a known opcode or a variable in 1..n, and the
+    code leaves exactly one value.
     """
 
     __slots__ = ("code", "n", "names")
 
     def __init__(self, code: Iterable[int], n: int, names: Iterable[str]) -> None:
-        code = tuple(code)
+        check_var_count(n)
+        code, names = tuple(code), tuple(names)
+        if len(names) != n:
+            raise ValueError(f"{len(names)} names given for {n} variables")
         depth = 0
         for op in code:
             if isinstance(op, bool) or not isinstance(op, int):
@@ -126,7 +130,7 @@ class Formula(_Frozen):
             raise ValueError(f"formula code leaves {depth} values, not 1")
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "names", names)
 
     def to_text(self) -> str:
         """Render back to the input syntax with minimal parentheses."""

@@ -10,7 +10,8 @@ versions and is not stored (``null``).
     python tests/golden/make_corpus.py --write  # rewrite corpus.json
 
 The cases come from a fixed seed; the DIMACS inputs are committed next
-to this script and are rewritten by ``--write`` only.
+to this script and are rewritten by ``--write`` only.  A change that
+rewrites the corpus lists the changed cases in CHANGES.md.
 """
 
 from __future__ import annotations

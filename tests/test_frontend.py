@@ -140,10 +140,11 @@ def random_cnf(rng, n, max_clauses):
 
 class TestParser:
     def test_precedence(self):
-        # the operand needing more values comes first: a1's rhs here
+        # the operand that needs more values comes first: here the rhs, a2 & a3
         assert parse_formula("a1 | a2 & a3").code == (2, 3, AND, 1, OR - SWAP)
         assert tree(parse_formula("a1 | a2 & a3").code) == ("|", 1, ("&", 2, 3))
         assert parse_formula("!a1 & a2").code == (1, NOT, 2, AND)
+        assert parse_formula("!(a1 ^ a2) & !!a3").code == (1, 2, XOR, NOT, 3, NOT, NOT, AND)
         assert parse_formula("(a1 | a2) & a3").code == (1, 2, OR, 3, AND)
 
     def test_left_assoc_chains(self):
@@ -154,10 +155,8 @@ class TestParser:
         assert parse_formula("a1 -> a2 -> a3").code == (2, 3, IMPLIES, 1, IMPLIES - SWAP)
         assert tree(parse_formula("a1 -> a2 -> a3").code) == ("->", 1, ("->", 2, 3))
         assert parse_formula("(a1 -> a2) -> a3").code == (1, 2, IMPLIES, 3, IMPLIES)
-
-    def test_equal_needs_keep_source_order(self):
+        # operands of equal need keep their source order
         assert parse_formula("(a1 & a2) -> (a3 | a1)").code == (1, 2, AND, 3, 1, OR, IMPLIES)
-        assert parse_formula("!(a1 ^ a2) & !!a3").code == (1, 2, XOR, NOT, 3, NOT, NOT, AND)
 
     def test_constants(self):
         assert parse_formula("0").code == (ZERO,)
