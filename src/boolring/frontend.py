@@ -216,13 +216,12 @@ class _Parser:
                         raise FormulaSyntaxError("mixing '|' and '^' needs parentheses", pos)
                     (rhs, r_need), (lhs, l_need) = out.pop(), out[-1]
                     op = _OPCODE[ops.pop()]
+                    need = max(l_need, r_need) if l_need != r_need else l_need + 1
                     if r_need > l_need:
-                        code = _concat(rhs, lhs)
-                        code.append(op - _SWAP)
-                    else:
-                        code = _concat(lhs, rhs)
-                        code.append(op)
-                    out[-1] = (code, max(l_need, r_need) if l_need != r_need else l_need + 1)
+                        lhs, rhs, op = rhs, lhs, op - _SWAP
+                    code = _concat(lhs, rhs)
+                    code.append(op)
+                    out[-1] = (code, need)
                 if tok in _BINARY:
                     ops.append(tok)
                     want_operand = True
