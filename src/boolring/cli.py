@@ -6,10 +6,11 @@ check), verify (the built-in check suite), taut (tautology test).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 size-cap refusal, also when the truth vector is too large to build
-(OverflowError or MemoryError, as with a raised --max-vars), 141
-(128 + SIGPIPE, silently) when the reader closes stdout early.  Output is
-deterministic for a given input; --json emits the same fields as the
-text form.
+(OverflowError or MemoryError, as with a raised --max-vars), 4 any other
+exception, reported as one ``internal error: <Type>: <message>`` line on
+stderr with no traceback, 141 (128 + SIGPIPE, silently) when the reader
+closes stdout early.  Output is deterministic for a given input; --json
+emits the same fields as the text form.
 
 Each subcommand imports only the modules it runs: verify does not load
 the text frontend, and the others do not load the verification suite.
@@ -276,6 +277,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of the input: one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     finally:
         # the cap is process-wide; an override must not outlive this call
         set_max_vars(saved_cap)

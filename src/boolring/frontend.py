@@ -200,13 +200,20 @@ class _Parser:
     def parse(self) -> deque[int]:
         out: list[tuple[deque[int], int]] = []  # operand code and need, innermost last
         ops: list[str] = []  # pending '(', '!' and binary operators, innermost last
+        # each leaf token accepted so far and its code: every check of ``_leaf``
+        # depends only on the token and the tokens before it, and none that a
+        # token passed once can fail later, so a repeated token is looked up
+        leaves: dict[str, int] = {}
         want_operand = True
         for tok, pos in self._tokens:
             if want_operand:
                 if tok == "!" or tok == "(":
                     ops.append(tok)
                     continue
-                operand = (deque((self._leaf(tok, pos),)), 1)
+                leaf = leaves.get(tok)
+                if leaf is None:
+                    leaf = leaves[tok] = self._leaf(tok, pos)
+                operand = (deque((leaf,)), 1)
             else:
                 # build the pending operators that bind tighter, or as tight unless
                 # ``tok`` groups right; ')', the end or a stray operand builds all

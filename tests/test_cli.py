@@ -284,6 +284,19 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch):
+        import boolring.cli as cli
+
+        def broken(args):
+            raise RuntimeError("handler broke")
+
+        monkeypatch.setattr(cli, "_cmd_canon", broken)
+        code, out, err = run(capsys, "canon", "--formula", "a1", "--max-vars", "3")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: handler broke\n"
+        assert get_max_vars() == DEFAULT_MAX_VARS
+
 
 class TestDeterminism:
     def test_canon_byte_identical(self, capsys):

@@ -21,6 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boolring.ring as ring
 import boolring.theorems as theorems
 from boolring import (
     AllowedMapTable,
@@ -531,6 +532,8 @@ class TestSetBits:
 TEXT_MAX_N = 12
 # chunk boundaries of the per-byte tables: one, two and three chunks
 BOUNDARY_N = (8, 9, 16, 17, 24)
+# boundaries small enough for one dense function: one block, two blocks, 256 blocks
+DENSE_BOUNDARY_N = (8, 9, 16)
 
 
 def check_function_texts(f, names=None):
@@ -611,6 +614,37 @@ class TestTextEmitters:
         assert minterm_dnf_text(decompose(sparse)) == ref_minterm_dnf_text(n, positions)
         got = [str(a) for a in satisfying_assignments(sparse)]
         assert got == [ref_assignment_text(Assignment(n, j)) for j in positions]
+        if n in DENSE_BOUNDARY_N:
+            # a dense function, whose texts read the selectors of every block
+            f = BoolFunc(n, rng.getrandbits(1 << n))
+            anf = to_anf(f)
+            assert str(anf) == ref_anf_text(anf.monomials)
+            satisfied = [j for j in range(1 << n) if (f.tt >> j) & 1]
+            falsified = sorted(set(range(1 << n)) - set(satisfied))
+            ps = decompose(f)
+            for given in (None, names):
+                assert prime_cnf_text(ps, given) == ref_prime_cnf_text(n, falsified, given)
+                assert minterm_dnf_text(ps, given) == ref_minterm_dnf_text(n, satisfied, given)
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 16])
+    def test_texts_at_the_route_switch(self, n, monkeypatch):
+        """The text emitters take the sparse route with at most one set bit
+        per 256 positions on average, and the dense route with one more."""
+        sparse_calls = []
+        selectors = ring._position_selectors
+        monkeypatch.setattr(ring, "_position_selectors",
+                            lambda positions: sparse_calls.append(1) or selectors(positions))
+        rng = random.Random(0x5E1 + n)
+        most = (1 << n) >> 8
+        for count, routes in ((most, [1, 1, 1]), (most + 1, [])):
+            sparse_calls.clear()
+            positions = sorted(rng.sample(range(1 << n), count))
+            monos = frozenset(monomial_of(m) for m in positions)
+            assert str(Anf(n, monos)) == ref_anf_text(monos)
+            assert prime_cnf_text(PrimeSet(n, positions)) == ref_prime_cnf_text(n, positions)
+            f = ~compose(n, positions)
+            assert minterm_dnf_text(decompose(f)) == ref_minterm_dnf_text(n, positions)
+            assert sparse_calls == routes
 
 
 class TestPackedStorage:

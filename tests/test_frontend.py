@@ -147,6 +147,14 @@ class TestParser:
         assert parse_formula("!(a1 ^ a2) & !!a3").code == (1, 2, XOR, NOT, 3, NOT, NOT, AND)
         assert parse_formula("(a1 | a2) & a3").code == (1, 2, OR, 3, AND)
 
+    def test_repeated_leaves(self):
+        # a leaf seen before is looked up, so tokens that share a prefix must not mix
+        assert parse_formula("a1 & a12 & a1 & a12 & 1 & 1").code == (
+            1, 12, AND, 1, AND, 12, AND, ONE, AND, ONE, AND)
+        f = parse_formula("x | xy | x | y | xy")
+        assert f.code == (1, 2, OR, 1, OR, 3, OR, 2, OR)
+        assert f.names == ("x", "xy", "y")
+
     def test_left_assoc_chains(self):
         assert parse_formula("a1 ^ a2 ^ a3").code == (1, 2, XOR, 3, XOR)
         assert parse_formula("a1 | a2 | a3").code == (1, 2, OR, 3, OR)
@@ -234,6 +242,14 @@ class TestParser:
         ("x | y | z", 2, "more than 2 distinct variables", 8),
         ("a1 ^ a2 | a3", None, "mixing '|' and '^' needs parentheses", 8),
         ("a1 -> a2 | a3 ^ a4", None, "mixing '|' and '^' needs parentheses", 14),
+        # the error follows repeated leaves, which the parser looks up once accepted
+        ("a1 & x & a1", None, "cannot mix indexed variables (a<k>) with named variables", 5),
+        ("x & y & x & a1", None, "cannot mix indexed variables (a<k>) with named variables", 12),
+        ("x | y | x | y | z", 2, "more than 2 distinct variables", 16),
+        ("a1 & a1 & a4", 3, "variable a4 beyond declared count 3", 10),
+        ("a1 & a1 & a0", None, "variable indices start at a1", 10),
+        ("1 & 1 & 2", None, "constants are 0 and 1, got 2", 8),
+        ("a2 & a2 a2", None, "unexpected 'a2'", 8),
     ])
     def test_error_messages(self, text, n, message, position):
         with pytest.raises(FormulaSyntaxError) as exc:

@@ -3,11 +3,12 @@
 Each transform holds a few 2**n-bit vectors at a time: its input, its
 result and the temporaries of one butterfly or XOR step.  The bound is
 eight vectors at n = 20; a route that builds one Python object per
-monomial or per index exceeds it by orders of magnitude.  The
-evaluators are held to the same bound: a 3-CNF of 4n clauses, a
-formula of bounded depth, two 1000-deep chains that nest to the right
-and a 300-deep chain of conjunctions nesting to the right each keep a
-few vectors live, not one per literal, node or level.
+monomial or per index exceeds it by orders of magnitude.  So does a
+text of 300 set positions that reads one selector byte per position of
+the whole vector.  The evaluators are held to the same bound: a 3-CNF
+of 4n clauses, a formula of bounded depth, two 1000-deep chains that
+nest to the right and a 300-deep chain of conjunctions nesting to the
+right each keep a few vectors live, not one per literal, node or level.
 
 What the calls leave behind is bounded too: the variable vectors of the
 last n, which a call at another n replaces.
@@ -23,7 +24,8 @@ from pathlib import Path
 import pytest
 
 from boolring import (
-    BoolFunc, CnfDoc, compose, decompose, eval_ast, eval_cnf, from_anf, parse_formula, to_anf,
+    Anf, BoolFunc, CnfDoc, PrimeSet, compose, decompose, eval_ast, eval_cnf, from_anf,
+    parse_formula, prime_cnf_text, to_anf,
 )
 
 N = 20
@@ -49,14 +51,21 @@ def func():
     return BoolFunc(N, random.Random(20).getrandbits(1 << N))
 
 
-@pytest.mark.parametrize("name", ["to_anf", "from_anf", "decompose", "compose"])
+@pytest.mark.parametrize("name", ["to_anf", "from_anf", "decompose", "compose",
+                                  "anf_text_sparse", "prime_cnf_text_sparse"])
 def test_peak_is_a_few_vectors(func, name):
     anf = to_anf(func)
+    # 300 set positions; selectors for the whole vector would take 2**N bytes
+    positions = random.Random(23).sample(range(1 << N), 300)
+    sparse_anf = Anf(N, [[r for r in range(1, N + 1) if p >> (r - 1) & 1] for p in positions])
+    sparse_primes = PrimeSet(N, positions)
     calls = {
         "to_anf": lambda: to_anf(func),
         "from_anf": lambda: from_anf(anf),
         "decompose": lambda: decompose(func),
         "compose": lambda: compose(N, decompose(func)),
+        "anf_text_sparse": lambda: str(sparse_anf),
+        "prime_cnf_text_sparse": lambda: prime_cnf_text(sparse_primes),
     }
     peak = peak_bytes(calls[name])
     assert peak <= LIMIT_BYTES, f"{name} peaked at {peak / VECTOR_BYTES:.1f} vectors"
