@@ -36,6 +36,7 @@ _EXPORTS = {
         "basis", "conservation_check", "enumerate_allowed_maps", "flip_group_check",
         "verify_resolution", "verify_ti", "verify_tii_tiii", "verify_tiv", "verify_tv",
     ),
+    "blocks": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

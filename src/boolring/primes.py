@@ -7,17 +7,15 @@ maxterm index set identifies a function uniquely, and the maxterms are
 exactly the elements p with the prime property: p*a = 0 forces a = 0 or
 a = ~p.  Rebuilding each variable from minterms (TV) is in ``theorems``.
 One helper renders a maxterm or minterm, or the full forms, as text,
-through the block renderer of ``ring``.
+through the block renderer of ``blocks``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .ring import (
-    BoolFunc, check_var_count, _Frozen, _Layout, _check_index, _chunk_tables, _ones, _pack_bits,
-    _position_selectors, _render_blocks, _selectors, _set_bits,
+    BoolFunc, check_var_count, _Frozen, _check_index, _ones, _pack_bits, _set_bits,
 )
 
 __all__ = [
@@ -154,70 +152,49 @@ _MINTERM = ("¬{}", "{}", " ∧ ", ") ∨ (", "0")
 
 
 def _terms_text(
-    n: int, selected: tuple[Sequence[int], bytes], style: tuple[str, ...],
-    names: Sequence[str] | None,
+    n: int, selected: int | tuple[int], style: tuple[str, ...], names: Sequence[str] | None
 ) -> str:
     """One term per selected assignment index in ``style``, each in parentheses.
 
-    ``selected`` is the blocks and selectors of the indices, as
-    ``ring._selectors`` gives them.  A term has one word per variable;
-    ``names`` defaults to a1..an.
+    ``selected`` is the packed set of indices, or one index in a tuple.
+    A term has one word per variable; ``names`` defaults to a1..an.
     """
+    from .blocks import _position_selectors, _render_blocks, _selectors, _terms_layout
+
     clear, set_, sep, joiner, empty = style
     if names is not None:
         names = tuple(names)
         if len(names) != n:
             raise ValueError(f"{len(names)} names given for {n} variables")
-    blocks, sel = selected
+    if isinstance(selected, tuple):
+        blocks, sel = _position_selectors(selected)
+    else:
+        blocks, sel = _selectors(n, selected)
     if not blocks:
         return empty
     layout = _terms_layout(n, clear, set_, sep, names)
     return _render_blocks(blocks, sel, layout, joiner, 1, "(", ")")
 
 
-@lru_cache(maxsize=64)
-def _terms_layout(
-    n: int, clear: str, set_: str, sep: str, names: tuple[str, ...] | None
-) -> _Layout:
-    """The block layout of full terms: variables 1-8 from the low byte of
-    the index, the rest as the block's suffix.
-
-    Variable r reads ``clear.format(name)`` when its bit is clear and
-    ``set_.format(name)`` when it is set; the words are joined by ``sep``.
-    """
-    if names is None:
-        names = tuple(f"a{r}" for r in range(1, n + 1))
-    # entry b: the chunk's words under the bits of b, each after sep
-    low, mid, top = _chunk_tables(
-        n, lambda r: sep + clear.format(names[r - 1]), lambda r: sep + set_.format(names[r - 1])
-    )
-    runs = ((0, 0, 256, tuple([t[len(sep) :] for t in low])),) * 256
-
-    def layout(b: int) -> tuple[str, str, int, tuple]:
-        return "", mid[b & 255] + top[b >> 8], 0, runs
-
-    return layout
-
-
 def clause_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Maxterm j as a full OR-clause, e.g. ``(a1 ∨ ¬a2)``."""
     check_var_count(n)
     _check_index(n, j)
-    return _terms_text(n, _position_selectors((j,)), _CLAUSE, names)
+    return _terms_text(n, (j,), _CLAUSE, names)
 
 
 def minterm_text(n: int, j: int, names: Sequence[str] | None = None) -> str:
     """Minterm j as a full AND-term, e.g. ``(¬a1 ∧ a2)``."""
     check_var_count(n)
     _check_index(n, j)
-    return _terms_text(n, _position_selectors((j,)), _MINTERM, names)
+    return _terms_text(n, (j,), _MINTERM, names)
 
 
 def prime_cnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
     """Full conjunctive form, one clause per maxterm index; ``1`` when empty."""
-    return _terms_text(ps.n, _selectors(ps.n, ps.mask), _CLAUSE, names)
+    return _terms_text(ps.n, ps.mask, _CLAUSE, names)
 
 
 def minterm_dnf_text(ps: PrimeSet, names: Sequence[str] | None = None) -> str:
     """Full disjunctive form over the satisfying indices; ``0`` when none."""
-    return _terms_text(ps.n, _selectors(ps.n, ps.mask ^ _ones(ps.n)), _MINTERM, names)
+    return _terms_text(ps.n, ps.mask ^ _ones(ps.n), _MINTERM, names)

@@ -17,9 +17,9 @@ exactly when both the variable count and the truth vector agree.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from operator import and_, attrgetter, or_, rshift, sub, xor
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import chain, compress
+from operator import attrgetter
+from typing import Callable, Iterable, TypeVar
 
 __all__ = [
     "DEFAULT_MAX_VARS",
@@ -45,10 +45,6 @@ _max_vars = DEFAULT_MAX_VARS
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
-# ``_set_bits`` finds the bits of sparse words one by one when they hold at
-# most this many set bits per word on average; the two walks of those words
-# took the same time at 8, at n = 14, 18 and 20 (2 cores, Python 3.11)
-_FIND_BITS = 8
 
 _T = TypeVar("_T")
 _F = TypeVar("_F", bound="_Frozen")
@@ -363,6 +359,8 @@ class Anf(_Frozen):
         their sorted variable lists, e.g. ``1 ⊕ a2 ⊕ a1·a3 ⊕ a2·a3``."""
         if not self.mask:
             return "0"
+        from .blocks import _anf_layout, _render_blocks, _selectors  # the text emitters only
+
         blocks, sel = _selectors(self.n, self.mask, by_degree=True)
         return _render_blocks(blocks, sel, _anf_layout(self.n), " ⊕ ", self.n + 1)
 
@@ -381,10 +379,11 @@ def _few_bits(x: int, limit: int) -> list[int] | None:
     The 64-bit words of ``x`` that hold a set bit are found at C speed.
     When they are at most half of all words, only their bits are walked,
     so a sparse vector costs a pass over its words plus 64 steps per
-    nonzero word, or, when those words hold few set bits, one
-    ``bytes.find`` per set bit; otherwise every bit is walked.  Each walk
-    turns the binary text, reversed so that character i is bit i, into
-    0/1 selectors, and nothing shifts or copies the integer once per bit.
+    nonzero word; otherwise every bit is walked.  Either walk turns the
+    binary text, reversed so that character i is bit i, into 0/1
+    selectors for ``itertools.compress``, and nothing shifts or copies
+    the integer once per bit.  A vector with more nonzero words than
+    ``limit`` is not walked.
     """
     words = (x.bit_length() + 63) >> 6
     buf = x.to_bytes(words << 3, "little")
@@ -393,22 +392,13 @@ def _few_bits(x: int, limit: int) -> list[int] | None:
         return None
     if 2 * len(nonzero) > words:
         positions = list(compress(range(words << 6), _bit_selectors(x, words << 6)))
-        return positions if len(positions) <= limit else None
-    packed = b"".join([buf[i << 3 : (i + 1) << 3] for i in nonzero])
-    selectors = _bit_selectors(int.from_bytes(packed, "little"), len(packed) << 3)
-    found = selectors.count(1)
-    if found > limit:
-        return None
-    if found > _FIND_BITS * len(nonzero):
+    else:
+        packed = b"".join([buf[i << 3 : (i + 1) << 3] for i in nonzero])
         starts = [i << 6 for i in nonzero]
         slots = chain.from_iterable(map(range, starts, map((64).__add__, starts)))
-        return list(compress(slots, selectors))
-    positions = []
-    at = selectors.find(1)
-    while at >= 0:
-        positions.append(nonzero[at >> 6] << 6 | at & 63)
-        at = selectors.find(1, at + 1)
-    return positions
+        selectors = _bit_selectors(int.from_bytes(packed, "little"), len(packed) << 3)
+        positions = list(compress(slots, selectors))
+    return positions if len(positions) <= limit else None
 
 
 def _bit_selectors(x: int, width: int) -> bytes:
@@ -446,8 +436,8 @@ def _chunk_tables(
     the others; the values are strings, tuples or ints.  A function of
     x < 2**n that is such a sum is then three lookups:
     ``t0[x & 255] + t1[x >> 8 & 255] + t2[x >> 16]``.  Bit r - 1 of x
-    need not stand for variable r: ``_anf_layout`` reads it as variable
-    n + 1 - r.
+    need not stand for variable r: ``blocks._anf_layout`` reads it as
+    variable n + 1 - r.
     """
     tables = []
     for lo, hi in ((1, 9), (9, 17), (17, n + 1)):
@@ -463,234 +453,6 @@ def _chunk_tables(
 def _var_tuples(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Chunk tables of the variable indices set in each bit pattern."""
     return _chunk_tables(n, lambda r: (), lambda r: (r,))
-
-
-# The block renderer writes the texts of the set positions of a vector one
-# 256-position block at a time.  A position's text is its block's prefix,
-# the words of the position's low byte and its block's suffix, so the texts
-# of a run of positions come from one ``compress`` over a table of low-byte
-# words and one ``str.join`` whose separator carries the suffix and prefix.
-
-# a run of a block's positions: (rank step, first offset, end offset, words)
-_Run = tuple[int, int, int, tuple[str, ...]]
-# block b -> (prefix, suffix, rank, the run that holds each offset)
-_Layout = Callable[[int], tuple[str, str, int, tuple[_Run, ...]]]
-
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _selectors(n: int, x: int, by_degree: bool = False) -> tuple[Sequence[int], bytes]:
-    """The 256-position blocks of a 2**n-bit vector and their 0/1 selectors.
-
-    Returns ascending block indices and 256 selectors per block, in the
-    same order.  Offset i of block b selects position 256 b + i of ``x``,
-    or, when ``by_degree``, of ``_mirror(n, x)`` placed by ``_low_order``.
-    A sparse vector, with at most one set bit per block on average, lists
-    only the blocks that hold a set bit and builds their selectors from
-    its set-bit positions, so its cost follows its set bits.  A dense one
-    lists every block and reads the selectors off the whole vector at
-    once.  The README gives the measurements behind the rule.
-    """
-    positions = _few_bits(x, (1 << n) >> 8)
-    if positions is not None:
-        if by_degree:
-            positions = _degree_positions(n, positions)
-        return _position_selectors(positions)
-    size = min(1 << n, 256)
-    blocks = (1 << n) // size
-    if by_degree:
-        x = _mirror(n, x)
-        for delta, mask in _low_order_swaps(size):
-            x = _delta_swap(x, delta, int.from_bytes(mask * blocks, "little"))
-    return range(blocks), _bit_selectors(x, 1 << n)
-
-
-def _position_selectors(positions: Sequence[int]) -> tuple[list[int], bytearray]:
-    """The blocks that hold the ascending ``positions`` and their selectors."""
-    blocks = list(dict.fromkeys(map(rshift, positions, repeat(8))))
-    # a position's offset in sel: itself less its block's start, plus its slot's
-    shift = {b: (b - i) << 8 for i, b in enumerate(blocks)}
-    sel = bytearray(len(blocks) << 8)
-    for k in map(sub, positions, map(shift.__getitem__, map(rshift, positions, repeat(8)))):
-        sel[k] = 1
-    return blocks, sel
-
-
-def _mirror(n: int, x: int) -> int:
-    """The vector whose bit ~rev(m) is bit m of ``x``, for m < 2**n.
-
-    rev(m) reverses m's n index bits and ~ complements them.  Swapping
-    index bits k and n - 1 - k and complementing both exchanges the
-    positions where both bits are clear with those where both are set,
-    so the whole map is about n / 2 delta swaps.
-    """
-    tts, ones = _var_tts(n), _ones(n)
-    for k in range((n + 1) // 2):
-        # the positions where both index bits are clear
-        x = _delta_swap(x, (1 << k) | (1 << (n - 1 - k)), ones ^ (tts[k] | tts[n - 1 - k]))
-    return x
-
-
-def _delta_swap(x: int, delta: int, mask: int) -> int:
-    """``x`` with bits i and i + delta exchanged for each bit i set in ``mask``."""
-    t = ((x >> delta) ^ x) & mask
-    return x ^ t ^ (t << delta)
-
-
-@lru_cache(maxsize=8)
-def _low_order(size: int) -> list[int]:
-    """The low indices of a mirrored block, most set bits (fewest of the
-    block's last 8 variables) first, then ascending."""
-    return sorted(range(size), key=lambda e: (-e.bit_count(), e))
-
-
-@lru_cache(maxsize=8)
-def _low_place(size: int) -> list[int]:
-    """The place in ``_low_order`` of each low index."""
-    place = [0] * size
-    for i, e in enumerate(_low_order(size)):
-        place[e] = i
-    return place
-
-
-@lru_cache(maxsize=8)
-def _low_order_swaps(size: int) -> list[tuple[int, bytes]]:
-    """Delta swaps that move each low index of a block to its place in
-    ``_low_order``, each mask as the bytes of one block."""
-    return [(delta, mask.to_bytes((size + 7) // 8, "little"))
-            for delta, mask in _benes(_low_place(size)) if mask]
-
-
-def _benes(dest: list[int]) -> list[tuple[int, int]]:
-    """Delta swaps, as (delta, mask), that move the item at position i to
-    ``dest[i]``, for a permutation of 2**k positions.
-
-    A Beneš network: the outer stages exchange the two halves where a
-    mask bit says so, and two networks of half the size, run side by
-    side, do the rest.  The looping algorithm chooses the outer masks:
-    the two items of an input pair, and the two items bound for an
-    output pair, take different halves (Beneš 1964; Knuth, TAOCP 4A,
-    7.1.3).
-    """
-    size = len(dest)
-    half = size // 2
-    if half <= 1:
-        return [(1, dest[0])] if half else []
-    src = [0] * size
-    for i, d in enumerate(dest):
-        src[d] = i
-    side = [-1] * size  # 0: through the upper half, 1: the lower
-    for start in range(size):
-        i = start
-        while side[i] < 0:
-            side[i], side[i ^ half] = 0, 1
-            i = src[dest[i ^ half] ^ half]
-    up, down = [0] * half, [0] * half
-    for i in range(size):
-        (down if side[i] else up)[i & (half - 1)] = dest[i] & (half - 1)
-    inner = [(d, u | v << half) for (d, u), (_, v) in zip(_benes(up), _benes(down))]
-    first = sum(1 << i for i in range(half) if side[i])
-    last = sum(1 << i for i in range(half) if side[src[i]])
-    return [(half, first), *inner, (half, last)]
-
-
-def _degree_positions(n: int, positions: Sequence[int]) -> list[int]:
-    """Where ``_selectors`` places each position m when ``by_degree``, ascending.
-
-    m goes to c = ~rev(m), each m reversed over 64 bits as a machine
-    word: every byte reversed through a table, then the byte order
-    swapped.  The low index of c then moves to its place in
-    ``_low_order``.
-    """
-    from array import array  # imported here: only this sparse route needs it
-
-    words = array("Q", array("Q", positions).tobytes().translate(_REVERSED_BYTES))
-    words.byteswap()
-    cs = list(map(xor, map(rshift, words, repeat(64 - n)), repeat((1 << n) - 1)))
-    lows = map(_low_place(min(1 << n, 256)).__getitem__, map(and_, cs, repeat(255)))
-    return sorted(map(or_, map(and_, cs, repeat(-256)), lows))
-
-
-def _render_blocks(
-    blocks: Iterable[int], sel: bytes, layout: _Layout, joiner: str, ranks: int,
-    head: str = "", tail: str = "",
-) -> str:
-    """The texts of the selected positions of ``blocks``, joined by ``joiner``
-    between ``head`` and ``tail``.
-
-    ``layout(b)`` gives block b's prefix, suffix and rank, and for each
-    offset the run of offsets that holds it, with the run's words and
-    rank step.  The texts are ordered by rank (the block's rank plus the
-    run's step, below ``ranks``), then by block, then by offset.  Each
-    run's texts are one string, which is copied once more, into the
-    result.
-    """
-    by_rank: list[list[str]] = [[] for _ in range(ranks)]
-    find = sel.find
-    for i, b in enumerate(blocks):
-        start = i << 8
-        end = start + 256
-        at = find(1, start, end)
-        if at < 0:
-            continue
-        pre, suf, rank, runs = layout(b)
-        lead = joiner + pre
-        while at >= 0:
-            step, first, stop, words = runs[at - start]
-            stop += start
-            if find(1, at + 1, stop) < 0:  # the run selects one position
-                text = words[at - start - first]
-            else:
-                text = (suf + lead).join(compress(words, sel[start + first : stop]))
-            by_rank[rank + step] += (lead, text, suf)
-            at = find(1, stop, end)
-    parts = list(chain.from_iterable(by_rank))
-    parts[0] = head + parts[0][len(joiner) :]  # the first part is a lead
-    parts.append(tail)
-    return "".join(parts)
-
-
-@lru_cache(maxsize=64)
-def _anf_layout(n: int) -> _Layout:
-    """The layout of ``str(Anf)``, whose selectors ``_selectors`` places
-    ``by_degree``.
-
-    Monomial m sits at c = ~rev(m) (see ``_mirror``), so bit q of c is
-    clear exactly when variable n - q is in m.  Of two monomials of equal
-    degree, the one whose sorted variable list comes first has the
-    smaller c.  A block holds the monomials that share their variables
-    1..n-8; these are the block's prefix, and their count is its rank.
-    The low byte of c holds variables n-7..n; ``_low_order`` places the
-    low indices with the same count of them, the run's step, next to
-    each other in ascending order.  Only the block whose prefix is empty
-    (c's top bits all set) starts a monomial with a low variable, or
-    holds the constant 1.
-    """
-    # entry e: the variables, descending, whose bits are clear in e, bit v - 1
-    # of c standing for variable n + 1 - v
-    low, mid, top = _chunk_tables(n, lambda v: (n + 1 - v,), lambda v: ())
-    order = _low_order(len(low))
-    words = ["·".join(f"a{r}" for r in reversed(low[e])) for e in order]
-    steps = [len(low[e]) for e in order]
-    variants = []
-    for own in (["·" + w if w else "" for w in words], [w or "1" for w in words]):
-        runs = []
-        for step in range(steps[-1] + 1):
-            first = steps.index(step)
-            stop = first + steps.count(step)
-            runs += [(step, first, stop, tuple(own[first:stop]))] * (stop - first)
-        variants.append(tuple(runs))
-    lead, bare = variants
-    mid_text, top_text = (
-        tuple(["".join(f"a{r}·" for r in reversed(rs)) for rs in t]) for t in (mid, top)
-    )
-    width = max(n - 8, 0)
-
-    def layout(b: int) -> tuple[str, str, int, tuple[_Run, ...]]:
-        pre = (top_text[b >> 8] + mid_text[b & 255])[:-1]
-        return pre, "", width - b.bit_count(), lead if pre else bare
-
-    return layout
 
 
 def to_anf(a: BoolFunc) -> Anf:

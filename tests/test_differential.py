@@ -21,7 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import boolring.ring as ring
+import boolring.blocks as blocks
 import boolring.theorems as theorems
 from boolring import (
     AllowedMapTable,
@@ -626,16 +626,16 @@ class TestTextEmitters:
                 assert prime_cnf_text(ps, given) == ref_prime_cnf_text(n, falsified, given)
                 assert minterm_dnf_text(ps, given) == ref_minterm_dnf_text(n, satisfied, given)
 
-    @pytest.mark.parametrize("n", [8, 9, 12, 16])
+    @pytest.mark.parametrize("n", [10, 11, 12, 16])
     def test_texts_at_the_route_switch(self, n, monkeypatch):
         """The text emitters take the sparse route with at most one set bit
-        per 256 positions on average, and the dense route with one more."""
+        per 1024 positions on average, and the dense route with one more."""
         sparse_calls = []
-        selectors = ring._position_selectors
-        monkeypatch.setattr(ring, "_position_selectors",
+        selectors = blocks._position_selectors
+        monkeypatch.setattr(blocks, "_position_selectors",
                             lambda positions: sparse_calls.append(1) or selectors(positions))
         rng = random.Random(0x5E1 + n)
-        most = (1 << n) >> 8
+        most = (1 << n) >> 10
         for count, routes in ((most, [1, 1, 1]), (most + 1, [])):
             sparse_calls.clear()
             positions = sorted(rng.sample(range(1 << n), count))

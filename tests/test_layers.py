@@ -117,6 +117,8 @@ def test_subcommand_loads_only_its_layer(tmp_path, argv):
     code, *loaded = _python(_RUN_SUBCOMMAND, *argv)
     assert code == "0"
     assert "boolring.ring" in loaded
+    # the block renderer is loaded by the subcommands that print a polynomial or CNF
+    assert ("boolring.blocks" in loaded) == (argv[0] in ("canon", "expand"))
     if argv[0] == "verify":
         assert "boolring.frontend" not in loaded
     else:
