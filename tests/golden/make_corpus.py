@@ -9,8 +9,11 @@ versions and is not stored (``null``).
     python tests/golden/make_corpus.py          # exit 1 and list changed cases
     python tests/golden/make_corpus.py --write  # rewrite corpus.json
 
-The cases come from a fixed seed; the DIMACS inputs are committed next
-to this script and are rewritten by ``--write`` only.  A change that
+The cases come from two fixed seeds, the second drawing the n = 16
+cases, which come last; the DIMACS inputs are committed next to this
+script and are rewritten by ``--write`` only.  CI runs the check, so a
+change to the generator or to a committed input that the corpus does
+not follow fails there.  A change that
 rewrites the corpus lists the changed cases in CHANGES.md.
 """
 
@@ -30,6 +33,9 @@ ROOT = HERE.parents[1]
 CORPUS = HERE / "corpus.json"
 WHOLE_LIMIT = 4096  # bytes of output stored verbatim
 SEED = 20090612
+WIDE_N = 16
+# the n = 16 cases draw from their own stream, so the cases before them keep theirs
+WIDE_SEED = SEED + WIDE_N
 
 # (text, binding level, groups right) of each binary operator, as the formula
 # language defines them; the generator uses them to parenthesize validly
@@ -103,11 +109,22 @@ def random_formula(rng: random.Random, n: int, ops: int, names: list[str] | None
 
 
 def random_dimacs(rng: random.Random, n: int, m: int, kmax: int) -> str:
-    lines = ["c golden corpus input", f"p cnf {n} {m}"]
+    clauses = []
     for _ in range(m):
         k = rng.randint(1, min(kmax, n))
-        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
-        lines.append(" ".join(map(str, lits + [0])))
+        clauses.append([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)])
+    return dimacs_text(n, clauses)
+
+
+def product_sum(n: int, masks: list[int]) -> str:
+    """The XOR of one product per mask, of the variables whose bits are set."""
+    return " ^ ".join(
+        " & ".join(f"a{r}" for r in range(1, n + 1) if m >> (r - 1) & 1) or "1" for m in masks)
+
+
+def dimacs_text(n: int, clauses: list[list[int]]) -> str:
+    lines = ["c golden corpus input", f"p cnf {n} {len(clauses)}"]
+    lines += [" ".join(map(str, lits + [0])) for lits in clauses]
     return "\n".join(lines) + "\n"
 
 
@@ -127,6 +144,31 @@ def dimacs_files(rng: random.Random) -> dict[str, str]:
     files["bad_header.cnf"] = "p dnf 2 1\n1 0\n"
     files["big30.cnf"] = "p cnf 30 1\n1 0\n"
     return files
+
+
+def wide_dimacs_files(rng: random.Random) -> dict[str, str]:
+    """File name -> DIMACS text at n = WIDE_N, named by where the falsified
+    assignments lie: a few anywhere, many, or within the lowest or the top
+    256 indices only."""
+    n = WIDE_N
+
+    def signed(variables: list[int]) -> list[int]:
+        return [v if rng.random() < 0.5 else -v for v in variables]
+
+    def some(lo: int, hi: int, k: int) -> list[int]:
+        return rng.sample(range(lo, hi + 1), k)
+
+    high = list(range(9, n + 1))
+    return {
+        "w16_one.cnf": dimacs_text(n, [signed(list(range(1, n + 1)))]),
+        "w16_k10.cnf": dimacs_text(n, [signed(some(1, n, 10))]),
+        "w16_few.cnf": dimacs_text(n, [signed(some(1, n, rng.randint(12, 15))) for _ in range(4)]),
+        "w16_dense.cnf": dimacs_text(n, [signed(some(1, n, 3)) for _ in range(8)]),
+        "w16_low.cnf": dimacs_text(
+            n, [signed(some(1, 8, rng.randint(2, 4))) + high for _ in range(6)]),
+        "w16_top.cnf": dimacs_text(
+            n, [signed(some(1, 8, rng.randint(2, 4))) + [-v for v in high] for _ in range(6)]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +346,55 @@ def cases(rng: random.Random, files: dict[str, str]) -> list[tuple[str, list[str
     return out
 
 
+def wide_cases(rng: random.Random, files: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """(id, argv) of the cases at n = WIDE_N: polynomials, prime sets and model
+    sets with at most 64 set positions, one set bit per 1024 or fewer, and
+    dense ones."""
+    n = WIDE_N
+    size = 1 << n
+    out: list[tuple[str, list[str]]] = []
+    formulas = {
+        "zero": "a1 & !a1",
+        "one": "1",
+        "a16": "a16",
+        "all": " & ".join(f"a{r}" for r in range(1, n + 1)),
+        "low": "a1 & a2 ^ a3 ^ a1 & a3 & a5",
+        "models64": " & ".join(f"a{r}" for r in sorted(rng.sample(range(1, n + 1), 10))),
+        # str(Anf) places monomial m by the reversed low byte of m: one per block
+        "blocks": product_sum(n, [(rng.randrange(size >> 8) << 8) | b for b in range(256)]),
+    }
+    for terms in (1, 8, 64, 65, 300):
+        formulas[f"monos{terms}"] = product_sum(n, rng.sample(range(size), terms))
+    for i in range(2):
+        formulas[f"dense{i}"] = random_formula(rng, n, 40)
+    for name, text in formulas.items():
+        out.append((f"canon-w16-{name}", ["canon", "--formula", text, "--n", str(n)]))
+        out.append((f"count-w16-{name}", ["count", "--formula", text, "--n", str(n)]))
+        if name in ("all", "models64", "monos8"):
+            out.append((f"count-assign-w16-{name}",
+                        ["count", "--formula", text, "--n", str(n), "--assignments"]))
+    for name in files:
+        stem = name[:-4]
+        for cmd in ("expand", "canon"):
+            out.append((f"{cmd}-{stem}", [cmd, "--dimacs", f"tests/golden/{name}"]))
+    out.append(("expand-json-w16_k10", ["expand", "--dimacs", "tests/golden/w16_k10.cnf", "--json"]))
+    return out
+
+
+def inputs() -> tuple[random.Random, random.Random, dict[str, str], dict[str, str]]:
+    """The two seeded streams, each past the DIMACS inputs it drew, and
+    those inputs: the files of ``cases``, then those of ``wide_cases``."""
+    rng, wide = random.Random(SEED), random.Random(WIDE_SEED)
+    return rng, wide, dimacs_files(rng), wide_dimacs_files(wide)
+
+
 def build() -> tuple[dict[str, str], list[dict]]:
     """The DIMACS files and the records of every case."""
-    rng = random.Random(SEED)
-    files = dimacs_files(rng)
+    rng, wide, files, wide_files = inputs()
     records = []
-    for case_id, argv in cases(rng, files):
+    for case_id, argv in cases(rng, files) + wide_cases(wide, wide_files):
         records.append({"id": case_id, "argv": argv, **run(argv)})
-    return files, records
+    return files | wide_files, records
 
 
 def dump(records: list[dict]) -> str:
@@ -328,8 +411,8 @@ def main(argv: list[str]) -> int:
         return 2
     if write:
         # the inputs are written first: the cases read them
-        files = dimacs_files(random.Random(SEED))
-        for name, text in files.items():
+        _, _, files, wide_files = inputs()
+        for name, text in (files | wide_files).items():
             (HERE / name).write_text(text, encoding="utf-8")
     files, records = build()
     ids = [r["id"] for r in records]
