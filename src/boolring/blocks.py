@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import itemgetter, rshift, sub, xor
+from operator import itemgetter, rshift
 from typing import Callable, Sequence
 
-from .ring import _bit_selectors, _chunk_tables, _few_bits, _ones, _var_tts
+from .ring import _bit_selectors, _chunk_tables, _nonzero_words, _ones, _var_tts
 
 __all__: list[str] = []
 
@@ -30,40 +30,24 @@ _Table = tuple[
 # block b -> (prefix, suffix, rank, table)
 _Layout = Callable[[int], tuple[str, str, int, _Table]]
 
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
+def _selectors(x: int) -> tuple[list[int], bytes]:
+    """The 256-position blocks of ``x`` that hold a set bit, ascending, and
+    their 0/1 selectors, 256 per block in the same order: offset i of block
+    b selects position 256 b + i.
 
-def _selectors(n: int, x: int, by_degree: bool = False) -> tuple[Sequence[int], bytes]:
-    """The 256-position blocks of a 2**n-bit vector and their 0/1 selectors.
-
-    Returns ascending block indices and 256 selectors per block, in the
-    same order.  Offset i of block b selects position 256 b + i of ``x``,
-    or, when ``by_degree``, of ``_mirror(n, x)``.  A sparse vector, with
-    at most one set bit per 1024 positions on average, lists only the
-    blocks that hold a set bit and builds their selectors from its set-bit
-    positions, so its cost follows its set bits.  A dense one lists every
-    block and reads the selectors off the whole vector at once.  The
-    README gives the measurements behind the rule.
+    The nonzero 64-bit words are found at C speed, as ``_set_bits`` finds
+    them, and only their blocks are turned into selectors, so the cost
+    follows the nonzero blocks.  When every block up to the top set bit is
+    nonzero, the selectors are read off the whole vector at once.
     """
-    positions = _few_bits(x, (1 << n) >> 10)
-    if positions is not None:
-        if by_degree:
-            positions = _mirrored_positions(n, positions)
-        return _position_selectors(positions)
-    if by_degree:
-        x = _mirror(n, x)
-    return range(max((1 << n) >> 8, 1)), _bit_selectors(x, 1 << n)
-
-
-def _position_selectors(positions: Sequence[int]) -> tuple[list[int], bytearray]:
-    """The blocks that hold the ascending ``positions`` and their selectors."""
-    blocks = list(dict.fromkeys(map(rshift, positions, repeat(8))))
-    # a position's offset in sel: itself less its block's start, plus its slot's
-    shift = {b: (b - i) << 8 for i, b in enumerate(blocks)}
-    sel = bytearray(len(blocks) << 8)
-    for k in map(sub, positions, map(shift.__getitem__, map(rshift, positions, repeat(8)))):
-        sel[k] = 1
-    return blocks, sel
+    if not x:
+        return [], b""
+    buf, nonzero = _nonzero_words(x, 4)
+    blocks = list(dict.fromkeys(map(rshift, nonzero, repeat(2))))
+    if len(blocks) << 5 < len(buf):  # some block is zero: keep only the others
+        x = int.from_bytes(b"".join([buf[b << 5 : (b + 1) << 5] for b in blocks]), "little")
+    return blocks, _bit_selectors(x, len(blocks) << 8)
 
 
 def _mirror(n: int, x: int) -> int:
@@ -81,20 +65,6 @@ def _mirror(n: int, x: int) -> int:
         t = ((x >> delta) ^ x) & (ones ^ (tts[k] | tts[n - 1 - k]))
         x ^= t ^ (t << delta)
     return x
-
-
-def _mirrored_positions(n: int, positions: Sequence[int]) -> list[int]:
-    """Where ``_mirror`` moves each of ``positions``, ascending.
-
-    Each m is reversed over 64 bits as a machine word (every byte
-    reversed through a table, then the byte order swapped), shifted down
-    to n bits and complemented.
-    """
-    from array import array  # imported here: only this sparse route needs it
-
-    words = array("Q", array("Q", positions).tobytes().translate(_REVERSED_BYTES))
-    words.byteswap()
-    return sorted(map(xor, map(rshift, words, repeat(64 - n)), repeat((1 << n) - 1)))
 
 
 def _render_blocks(
@@ -151,8 +121,8 @@ def _table(steps: bytes, words: Sequence[str]) -> _Table:
 
 @lru_cache(maxsize=64)
 def _anf_layout(n: int) -> _Layout:
-    """The layout of ``str(Anf)``, whose selectors ``_selectors`` gives
-    ``by_degree``.
+    """The layout of ``str(Anf)``, whose selectors ``_selectors`` reads
+    off ``_mirror(n, mask)``.
 
     Monomial m sits at c = ~rev(m) (see ``_mirror``), so bit q of c is
     clear exactly when variable n - q is in m.  Of two monomials of equal

@@ -46,6 +46,8 @@ class FlipMask(_Frozen):
             item = item.strip()
             if not (item.startswith("a") and item.isascii() and item[1:].isdigit()):
                 raise ValueError(f"flip mask entries must look like a3, got {item!r}")
+            if item[1] == "0" and item != "a0":  # a01 would name a1
+                raise ValueError(f"flip mask entry {item!r} has a leading zero")
             r = int(item[1:])
             _check_var(n, r)
             s |= 1 << (r - 1)

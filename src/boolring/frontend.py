@@ -259,6 +259,8 @@ class _Parser:
         index = int(m.group(1)) if m else None
         if index == 0:
             raise FormulaSyntaxError("variable indices start at a1", pos)
+        if m and tok[1] == "0":  # a01 would name a1
+            raise FormulaSyntaxError(f"variable indices have no leading zero, got {tok}", pos)
         if self.max_index and bool(self.named) != (index is None):  # other style seen
             raise FormulaSyntaxError(
                 "cannot mix indexed variables (a<k>) with named variables", pos

@@ -159,17 +159,18 @@ def _terms_text(
     ``selected`` is the packed set of indices, or one index in a tuple.
     A term has one word per variable; ``names`` defaults to a1..an.
     """
-    from .blocks import _position_selectors, _render_blocks, _selectors, _terms_layout
+    from .blocks import _render_blocks, _selectors, _terms_layout
 
     clear, set_, sep, joiner, empty = style
     if names is not None:
         names = tuple(names)
         if len(names) != n:
             raise ValueError(f"{len(names)} names given for {n} variables")
-    if isinstance(selected, tuple):
-        blocks, sel = _position_selectors(selected)
+    if isinstance(selected, tuple):  # one index: its block, built directly
+        (j,) = selected
+        blocks, sel = [j >> 8], bytes(j & 255) + b"\1" + bytes(255 - (j & 255))
     else:
-        blocks, sel = _selectors(n, selected)
+        blocks, sel = _selectors(selected)
     if not blocks:
         return empty
     layout = _terms_layout(n, clear, set_, sep, names)

@@ -359,46 +359,39 @@ class Anf(_Frozen):
         their sorted variable lists, e.g. ``1 ⊕ a2 ⊕ a1·a3 ⊕ a2·a3``."""
         if not self.mask:
             return "0"
-        from .blocks import _anf_layout, _render_blocks, _selectors  # the text emitters only
+        from .blocks import _anf_layout, _mirror, _render_blocks, _selectors  # text only
 
-        blocks, sel = _selectors(self.n, self.mask, by_degree=True)
+        blocks, sel = _selectors(_mirror(self.n, self.mask))
         return _render_blocks(blocks, sel, _anf_layout(self.n), " ⊕ ", self.n + 1)
 
 
 def _set_bits(x: int) -> list[int]:
-    """Positions of the set bits of ``x`` in ascending order."""
-    positions = _few_bits(x, x.bit_length())
-    assert positions is not None
-    return positions
+    """Positions of the set bits of ``x`` in ascending order.
 
-
-def _few_bits(x: int, limit: int) -> list[int] | None:
-    """Positions of the set bits of ``x`` in ascending order, or None when
-    there are more than ``limit``.
-
-    The 64-bit words of ``x`` that hold a set bit are found at C speed.
-    When they are at most half of all words, only their bits are walked,
-    so a sparse vector costs a pass over its words plus 64 steps per
-    nonzero word; otherwise every bit is walked.  Either walk turns the
-    binary text, reversed so that character i is bit i, into 0/1
-    selectors for ``itertools.compress``, and nothing shifts or copies
-    the integer once per bit.  A vector with more nonzero words than
-    ``limit`` is not walked.
+    When the nonzero 64-bit words are at most half of all words, only
+    their bits are walked, so a sparse vector costs a pass over its words
+    plus 64 steps per nonzero word; otherwise every bit is walked.  Either
+    walk turns the binary text, reversed so that character i is bit i,
+    into 0/1 selectors for ``itertools.compress``, and nothing shifts or
+    copies the integer once per bit.
     """
-    words = (x.bit_length() + 63) >> 6
-    buf = x.to_bytes(words << 3, "little")
-    nonzero = list(compress(range(words), memoryview(buf).cast("Q")))
-    if len(nonzero) > limit:
-        return None
+    buf, nonzero = _nonzero_words(x)
+    words = len(buf) >> 3
     if 2 * len(nonzero) > words:
-        positions = list(compress(range(words << 6), _bit_selectors(x, words << 6)))
-    else:
-        packed = b"".join([buf[i << 3 : (i + 1) << 3] for i in nonzero])
-        starts = [i << 6 for i in nonzero]
-        slots = chain.from_iterable(map(range, starts, map((64).__add__, starts)))
-        selectors = _bit_selectors(int.from_bytes(packed, "little"), len(packed) << 3)
-        positions = list(compress(slots, selectors))
-    return positions if len(positions) <= limit else None
+        return list(compress(range(words << 6), _bit_selectors(x, words << 6)))
+    packed = b"".join([buf[i << 3 : (i + 1) << 3] for i in nonzero])
+    starts = [i << 6 for i in nonzero]
+    slots = chain.from_iterable(map(range, starts, map((64).__add__, starts)))
+    return list(compress(slots, _bit_selectors(int.from_bytes(packed, "little"), len(packed) << 3)))
+
+
+def _nonzero_words(x: int, align: int = 1) -> tuple[bytes, list[int]]:
+    """``x`` as little-endian 64-bit words, as many as it needs rounded up
+    to a multiple of ``align``, and the indices of the nonzero ones, found
+    at C speed."""
+    words = -(-x.bit_length() // (align << 6)) * align
+    buf = x.to_bytes(words << 3, "little")
+    return buf, list(compress(range(words), memoryview(buf).cast("Q")))
 
 
 def _bit_selectors(x: int, width: int) -> bytes:

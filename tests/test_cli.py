@@ -212,6 +212,15 @@ class TestErrors:
         assert code == 2
         assert "position 4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["canon", "--formula", "a01 & a1"],
+        ["flip", "--formula", "a1 & a2", "--flip", "a01"],
+    ])
+    def test_leading_zero_index(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "leading zero" in err
+
     def test_dimacs_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 2 1\n1 2\n", encoding="utf-8")

@@ -536,6 +536,37 @@ BOUNDARY_N = (8, 9, 16, 17, 24)
 DENSE_BOUNDARY_N = (8, 9, 16)
 
 
+def ref_selectors(x):
+    """The blocks of 256 positions that hold a set bit and their 0/1
+    selectors, one bit at a time."""
+    found = sorted({i >> 8 for i in ref_set_bits(x)})
+    return found, bytes((x >> ((b << 8) + i)) & 1 for b in found for i in range(256))
+
+
+# name -> a function of a seeded rng giving (n, vector)
+SELECTOR_CASES = {
+    "zero": lambda rng: (10, 0),
+    "n3": lambda rng: (3, rng.getrandbits(8)),
+    "n5": lambda rng: (5, rng.getrandbits(32) | 1 << 31),
+    "n7_top_bit": lambda rng: (7, 1 << 127),
+    "one_bit_per_block": lambda rng: (
+        12, pack((b << 8) + rng.randrange(256) for b in range(16))),
+    "top_block_only": lambda rng: (
+        12, pack(rng.sample(range((1 << 12) - 256, 1 << 12), 40))),
+    "top_position_only": lambda rng: (16, 1 << ((1 << 16) - 1)),
+    "every_block_dense": lambda rng: (12, rng.getrandbits(1 << 12)),
+    "every_block_n16": lambda rng: (16, rng.getrandbits(1 << 16) | 1 << ((1 << 16) - 1)),
+    "every_block_but_one": lambda rng: (
+        12, rng.getrandbits(1 << 12) & ~(((1 << 256) - 1) << (5 << 8)) | 1 << ((1 << 12) - 1)),
+    "far_below_top": lambda rng: (16, pack(rng.sample(range(1024), 50))),
+    "sparse_64": lambda rng: (16, pack(rng.sample(range(1 << 16), 64))),
+    "sparse_65": lambda rng: (16, pack(rng.sample(range(1 << 16), 65))),
+    "runs_across_blocks": lambda rng: (
+        14, pack(p for s in rng.sample(range(1 << 14), 12) for p in range(s, s + 300)
+                    if p < 1 << 14)),
+}
+
+
 def check_function_texts(f, names=None):
     anf = to_anf(f)
     assert str(anf) == ref_anf_text(anf.monomials)
@@ -626,25 +657,18 @@ class TestTextEmitters:
                 assert prime_cnf_text(ps, given) == ref_prime_cnf_text(n, falsified, given)
                 assert minterm_dnf_text(ps, given) == ref_minterm_dnf_text(n, satisfied, given)
 
-    @pytest.mark.parametrize("n", [10, 11, 12, 16])
-    def test_texts_at_the_route_switch(self, n, monkeypatch):
-        """The text emitters take the sparse route with at most one set bit
-        per 1024 positions on average, and the dense route with one more."""
-        sparse_calls = []
-        selectors = blocks._position_selectors
-        monkeypatch.setattr(blocks, "_position_selectors",
-                            lambda positions: sparse_calls.append(1) or selectors(positions))
-        rng = random.Random(0x5E1 + n)
-        most = (1 << n) >> 10
-        for count, routes in ((most, [1, 1, 1]), (most + 1, [])):
-            sparse_calls.clear()
-            positions = sorted(rng.sample(range(1 << n), count))
-            monos = frozenset(monomial_of(m) for m in positions)
-            assert str(Anf(n, monos)) == ref_anf_text(monos)
-            assert prime_cnf_text(PrimeSet(n, positions)) == ref_prime_cnf_text(n, positions)
-            f = ~compose(n, positions)
-            assert minterm_dnf_text(decompose(f)) == ref_minterm_dnf_text(n, positions)
-            assert sparse_calls == routes
+    @pytest.mark.parametrize("case", sorted(SELECTOR_CASES))
+    def test_selectors_read_the_nonzero_blocks(self, case):
+        """``blocks._selectors`` lists exactly the nonzero 256-position blocks
+        and their selectors bit for bit; the texts over the same vector
+        match the references."""
+        n, x = SELECTOR_CASES[case](random.Random(case))
+        assert blocks._selectors(x) == ref_selectors(x)
+        positions = ref_set_bits(x)
+        monos = frozenset(monomial_of(m) for m in positions)
+        assert str(Anf(n, monos)) == ref_anf_text(monos)
+        assert prime_cnf_text(PrimeSet(n, positions)) == ref_prime_cnf_text(n, positions)
+        assert minterm_dnf_text(decompose(BoolFunc(n, x))) == ref_minterm_dnf_text(n, positions)
 
 
 class TestPackedStorage:

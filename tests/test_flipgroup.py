@@ -57,8 +57,11 @@ class TestFlipMask:
             FlipMask.parse("", 3)
         with pytest.raises(ValueError):
             FlipMask.parse("b2", 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="variable index 0 outside 1..3"):
             FlipMask.parse("a0", 3)
+        for text in ("a01", "a1,a02", "a00"):  # a01 would name a1
+            with pytest.raises(ValueError, match="has a leading zero"):
+                FlipMask.parse(text, 3)
         with pytest.raises(ValueError):
             FlipMask.parse("a4", 3)
         with pytest.raises(ValueError):

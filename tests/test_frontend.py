@@ -248,6 +248,11 @@ class TestParser:
         ("x | y | x | y | z", 2, "more than 2 distinct variables", 16),
         ("a1 & a1 & a4", 3, "variable a4 beyond declared count 3", 10),
         ("a1 & a1 & a0", None, "variable indices start at a1", 10),
+        ("a00", None, "variable indices start at a1", 0),
+        # a leading zero would make a01 a second name of a1
+        ("a01 & a1", None, "variable indices have no leading zero, got a01", 0),
+        ("a1 & a01", None, "variable indices have no leading zero, got a01", 5),
+        ("a1 & a1 & a010", 10, "variable indices have no leading zero, got a010", 10),
         ("1 & 1 & 2", None, "constants are 0 and 1, got 2", 8),
         ("a2 & a2 a2", None, "unexpected 'a2'", 8),
     ])
