@@ -4,8 +4,15 @@ Subcommands: canon (canonical forms), count (model counting), expand
 (full-width CNF expansion), flip (variable negation with a conservation
 check), verify (the built-in check suite), taut (tautology test).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 size-cap refusal, also when the truth vector is too large to build
+``main`` is the one pipeline: it loads the input's truth vector (verify
+has no input), runs the subcommand's transform, which returns fields and
+an exit code and neither loads nor prints, and emits the fields: one
+``key: value`` line each (verify: its report lines, then
+``all_passed``), or JSON with --json.
+
+Exit codes: 0 success, 1 a negative answer (a failed check, a flip that
+changed the model count, a non-tautology), 2 usage or parse error, 3
+size-cap refusal, also when the truth vector is too large to build
 (OverflowError or MemoryError, as with a raised --max-vars), 4 any other
 exception, reported as one ``internal error: <Type>: <message>`` line on
 stderr with no traceback, 141 (128 + SIGPIPE, silently) when the reader
@@ -21,7 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .primes import decompose, prime_cnf_text
 from .ring import (
@@ -32,103 +39,115 @@ from .truthmaps import count_models, satisfying_assignments
 if TYPE_CHECKING:
     from .frontend import CnfDoc, Formula
 
+    Fields = dict[str, Any]
+    Source = Formula | CnfDoc
+
 __all__ = ["main"]
+
+# each verify check: its report name, its flags, its help text and how it runs
+# on --n; theorems is passed in, so that only verify imports it
+_CHECKS = (
+    ("TI", ("--ti",), "cardinality and splitting", lambda th, n: th.verify_ti(n)),
+    ("TII+TIII", ("--tii", "--tiii"), "prime scan and unique factorization",
+     lambda th, n: th.verify_tii_tiii(n)),
+    ("TIV", ("--tiv",), "allowed-map enumeration", lambda th, n: th.verify_tiv(n)),
+    ("TV", ("--tv",), "basis reconstruction", lambda th, n: th.verify_tv(n)),
+    ("flip-group", ("--flip-group",), "flip group laws", lambda th, n: th.flip_group_check(n)),
+    ("resolution", ("--resolution",), "cut-rule replay", lambda th, n: th.verify_resolution()),
+)
 
 
 class _UsageError(ValueError):
     pass
 
 
-def _emit(fields: dict[str, Any], as_json: bool) -> None:
+def _emit(fields: Fields, as_json: bool, text: Callable[[Fields], Iterable[str]]) -> None:
     if as_json:
         import json  # imported here so that text output does not pay for it
 
         print(json.dumps(fields, indent=2))
-        return
+    else:
+        print(*text(fields), sep="\n")
+
+
+def _field_lines(fields: Fields) -> Iterable[str]:
     for key, value in fields.items():
         if isinstance(value, (list, tuple)):
-            rendered = "{" + ", ".join(str(v) for v in value) + "}"
+            value = "{" + ", ".join(map(str, value)) + "}"
         elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = str(value)
-        print(f"{key}: {rendered}")
+            value = "true" if value else "false"
+        yield f"{key}: {value}"
 
 
-def _load(args: argparse.Namespace) -> tuple[BoolFunc, dict[str, Any], Formula | CnfDoc]:
-    """Read the input, returning its truth vector and source description."""
+def _report_lines(fields: Fields) -> Iterable[str]:
+    from .theorems import Report
+
+    for report in fields["reports"]:
+        yield Report(elapsed=0.0, **report).line(with_elapsed=False)
+    yield f"all_passed: {'true' if fields['all_passed'] else 'false'}"
+
+
+def _load(args: argparse.Namespace) -> tuple[BoolFunc, Source, Fields]:
+    """Read the input: its truth vector, its parsed source, and the leading
+    fields ``input``, ``format`` and ``n``."""
     from .frontend import eval_ast, eval_cnf, parse_dimacs, parse_formula
 
     if getattr(args, "formula", None) is not None:
-        f = parse_formula(args.formula, args.n)
-        return eval_ast(f), {"input": args.formula, "format": "formula"}, f
-    if args.n is not None:
-        raise _UsageError("--n applies only to --formula input")
-    try:
-        with open(args.dimacs, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {args.dimacs}: {exc}") from None
-    doc = parse_dimacs(text)
-    return eval_cnf(doc), {"input": args.dimacs, "format": "dimacs"}, doc
+        source: Source = parse_formula(args.formula, args.n)
+        func, name, fmt = eval_ast(source), args.formula, "formula"
+    else:
+        if args.n is not None:
+            raise _UsageError("--n applies only to --formula input")
+        try:
+            with open(args.dimacs, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise _UsageError(f"cannot read {args.dimacs}: {exc}") from None
+        source = parse_dimacs(text)
+        func, name, fmt = eval_cnf(source), args.dimacs, "dimacs"
+    return func, source, {"input": name, "format": fmt, "n": func.n}
 
 
-def _cmd_canon(args: argparse.Namespace) -> int:
-    func, meta, _ = _load(args)
+def _canon(func: BoolFunc, source: Source, args: argparse.Namespace) -> tuple[Fields, int]:
     ps = decompose(func)
-    fields = dict(meta)
-    fields.update(
-        n=func.n,
-        truth_bits=func.to_bits(),
-        truth_hex=func.to_hex(),
-        anf=str(to_anf(func)),
-        prime_indices=_set_bits(ps.mask),
-        minterm_indices=_set_bits(func.tt),
-    )
-    _emit(fields, args.json)
-    return 0
+    return {
+        "truth_bits": func.to_bits(),
+        "truth_hex": func.to_hex(),
+        "anf": str(to_anf(func)),
+        "prime_indices": _set_bits(ps.mask),
+        "minterm_indices": _set_bits(func.tt),
+    }, 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    func, meta, _ = _load(args)
-    fields = dict(meta)
-    fields.update(n=func.n, model_count=count_models(func))
+def _count(func: BoolFunc, source: Source, args: argparse.Namespace) -> tuple[Fields, int]:
+    fields: Fields = {"model_count": count_models(func)}
     if args.assignments:
         fields["assignments"] = [str(j) for j in satisfying_assignments(func)]
-    _emit(fields, args.json)
-    return 0
+    return fields, 0
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
-    func, meta, doc = _load(args)
+def _expand(func: BoolFunc, source: CnfDoc, args: argparse.Namespace) -> tuple[Fields, int]:
     ps = decompose(func)
-    fields = dict(meta)
-    fields.update(
-        n=func.n,
-        clauses_in=len(doc.clauses),
-        prime_count=ps.mask.bit_count(),
-        model_count=count_models(func),
-        expanded_cnf=prime_cnf_text(ps),
-    )
-    _emit(fields, args.json)
-    return 0
+    return {
+        "clauses_in": len(source.clauses),
+        "prime_count": ps.mask.bit_count(),
+        "model_count": count_models(func),
+        "expanded_cnf": prime_cnf_text(ps),
+    }, 0
 
 
-def _cmd_flip(args: argparse.Namespace) -> int:
+def _flip(func: BoolFunc, source: Source, args: argparse.Namespace) -> tuple[Fields, int]:
     from .flipgroup import FlipMask, apply_flip
     from .frontend import Formula, ast_flip, cnf_flip, to_dimacs
 
-    func, meta, source = _load(args)
     mask = FlipMask.parse(args.flip, func.n)
     flipped = apply_flip(func, mask)
-    fields = dict(meta)
-    fields.update(
-        n=func.n,
-        mask=mask.s,
-        flipped_variables=[f"a{r}" for r in mask.variables()],
-        original_bits=func.to_bits(),
-        flipped_bits=flipped.to_bits(),
-    )
+    fields: Fields = {
+        "mask": mask.s,
+        "flipped_variables": [f"a{r}" for r in mask.variables()],
+        "original_bits": func.to_bits(),
+        "flipped_bits": flipped.to_bits(),
+    }
     if isinstance(source, Formula):
         fields["flipped_formula"] = ast_flip(source, mask).to_text()
     else:
@@ -136,71 +155,49 @@ def _cmd_flip(args: argparse.Namespace) -> int:
     fields["original_count"] = count_models(func)
     fields["flipped_count"] = count_models(flipped)
     fields["counts_equal"] = fields["original_count"] == fields["flipped_count"]
-    _emit(fields, args.json)
-    return 0 if fields["counts_equal"] else 1
+    return fields, 0 if fields["counts_equal"] else 1
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from .theorems import (
-        GROUP_CHECK_LIMIT, THEOREM_CAPS, flip_group_check, verify_resolution, verify_ti,
-        verify_tii_tiii, verify_tiv, verify_tv,
-    )
+def _verify(func: None, source: None, args: argparse.Namespace) -> tuple[Fields, int]:
+    from . import theorems
 
-    # each check: its argparse dest, its cap on --n (None: the check ignores --n), its function
-    checks = {
-        "TI": ("ti", THEOREM_CAPS["TI"], verify_ti),
-        "TII+TIII": ("tii", THEOREM_CAPS["TII+TIII"], verify_tii_tiii),
-        "TIV": ("tiv", THEOREM_CAPS["TIV"], verify_tiv),
-        "TV": ("tv", THEOREM_CAPS["TV"], verify_tv),
-        "flip-group": ("flip_group", GROUP_CHECK_LIMIT, flip_group_check),
-        "resolution": ("resolution", None, lambda n: verify_resolution()),
-    }
-    selected = [
-        (name, cap, check)
-        for name, (dest, cap, check) in checks.items()
-        if args.all or getattr(args, dest)
-    ]
+    caps = {**theorems.THEOREM_CAPS, "flip-group": theorems.GROUP_CHECK_LIMIT}
+    selected = [(name, run) for name, _, _, run in _CHECKS if args.all or getattr(args, name)]
     if not selected:
         raise _UsageError("select at least one check (or use --all)")
-    n = args.n
-    for name, cap, _ in selected:
-        if cap is not None and n > cap:
+    for name, _ in selected:
+        cap = caps.get(name)  # None: the check ignores --n
+        if cap is not None and args.n > cap:
             raise SizeLimitError(f"{name} is capped at n <= {cap}; drop it or lower --n")
-    reports = [check(n) for _, _, check in selected]
-    all_passed = all(r.passed for r in reports)
-    if args.json:
-        payload = {
-            "n": n,
-            "reports": [r.as_dict(with_elapsed=False) for r in reports],
-            "all_passed": all_passed,
-        }
-        _emit(payload, as_json=True)
-    else:
-        for r in reports:
-            print(r.line(with_elapsed=False))
-        print(f"all_passed: {'true' if all_passed else 'false'}")
-    return 0 if all_passed else 1
+    reports = [run(theorems, args.n) for _, run in selected]
+    passed = all(r.passed for r in reports)
+    dicts = [r.as_dict(with_elapsed=False) for r in reports]
+    return {"n": args.n, "reports": dicts, "all_passed": passed}, 0 if passed else 1
 
 
-def _cmd_taut(args: argparse.Namespace) -> int:
-    func, meta, _ = _load(args)
-    fields = dict(meta)
+def _taut(func: BoolFunc, source: Source, args: argparse.Namespace) -> tuple[Fields, int]:
     is_taut = func == one(func.n)
-    fields.update(n=func.n, tautology=is_taut)
-    _emit(fields, args.json)
-    return 0 if is_taut else 1
+    return {"tautology": is_taut}, 0 if is_taut else 1
 
 
-def _add_common(sub: argparse.ArgumentParser, dimacs_only: bool = False) -> None:
+def _add_cap_and_json(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--max-vars", type=_decimal, default=None,
+                     help="override the variable cap (default 24)")
+    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _input_subcommand(subs: Any, name: str, transform: Callable, summary: str,
+                      formula: bool = True) -> argparse.ArgumentParser:
+    sub = subs.add_parser(name, help=summary)
     group = sub.add_mutually_exclusive_group(required=True)
-    if not dimacs_only:
+    if formula:
         group.add_argument("--formula", help="formula text, e.g. '(a1 | a2) & !a3'")
     group.add_argument("--dimacs", metavar="PATH", help="path to a DIMACS CNF file")
     sub.add_argument("--n", type=_decimal, default=None,
                      help="variable count for formula input (default: inferred)")
-    sub.add_argument("--max-vars", type=_decimal, default=None,
-                     help="override the variable cap (default 24)")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    _add_cap_and_json(sub)
+    sub.set_defaults(transform=transform, text=_field_lines)
+    return sub
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,47 +205,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="boolring",
         description="Boolean ring algebra on packed truth vectors.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True)
+    _input_subcommand(subs, "canon", _canon, "canonical forms of the input")
+    sub = _input_subcommand(subs, "count", _count, "exact model count")
+    sub.add_argument("--assignments", action="store_true",
+                     help="also list the satisfying assignments")
+    _input_subcommand(subs, "expand", _expand, "full-width CNF expansion of a DIMACS file",
+                      formula=False)
+    sub = _input_subcommand(subs, "flip", _flip, "negate selected variables, checking conservation")
+    sub.add_argument("--flip", required=True, metavar="MASK",
+                     help="decimal mask or variable list like a1,a3")
 
-    p = sub.add_parser("canon", help="canonical forms of the input")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_canon)
+    sub = subs.add_parser("verify", help="run the built-in verification suite")
+    sub.add_argument("--n", type=_decimal, default=2, help="variable count (default 2)")
+    sub.add_argument("--all", action="store_true", help="run every check")
+    for name, flags, summary, _ in _CHECKS:
+        sub.add_argument(*flags, dest=name, action="store_true", help=summary)
+    _add_cap_and_json(sub)
+    sub.set_defaults(transform=_verify, text=_report_lines)
 
-    p = sub.add_parser("count", help="exact model count")
-    _add_common(p)
-    p.add_argument("--assignments", action="store_true",
-                   help="also list the satisfying assignments")
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("expand", help="full-width CNF expansion of a DIMACS file")
-    _add_common(p, dimacs_only=True)
-    p.set_defaults(handler=_cmd_expand)
-
-    p = sub.add_parser("flip", help="negate selected variables, checking conservation")
-    _add_common(p)
-    p.add_argument("--flip", required=True, metavar="MASK",
-                   help="decimal mask or variable list like a1,a3")
-    p.set_defaults(handler=_cmd_flip)
-
-    p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.add_argument("--n", type=_decimal, default=2, help="variable count (default 2)")
-    p.add_argument("--all", action="store_true", help="run every check")
-    p.add_argument("--ti", action="store_true", help="cardinality and splitting")
-    p.add_argument("--tii", "--tiii", dest="tii", action="store_true",
-                   help="prime scan and unique factorization")
-    p.add_argument("--tiv", action="store_true", help="allowed-map enumeration")
-    p.add_argument("--tv", action="store_true", help="basis reconstruction")
-    p.add_argument("--flip-group", action="store_true", help="flip group laws")
-    p.add_argument("--resolution", action="store_true", help="cut-rule replay")
-    p.add_argument("--max-vars", type=_decimal, default=None,
-                   help="override the variable cap (default 24)")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("taut", help="exit 0 iff the input is a tautology")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_taut)
-
+    _input_subcommand(subs, "taut", _taut, "exit 0 iff the input is a tautology")
     return parser
 
 
@@ -258,7 +234,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.max_vars is not None:
             set_max_vars(args.max_vars)
-        code = args.handler(args)
+        # every subcommand but verify reads an input, and only they have --dimacs
+        func, source, fields = _load(args) if "dimacs" in args else (None, None, {})
+        more, code = args.transform(func, source, args)
+        _emit({**fields, **more}, args.json, args.text)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -296,14 +296,38 @@ class TestErrors:
     def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch):
         import boolring.cli as cli
 
-        def broken(args):
+        def broken(func, source, args):
             raise RuntimeError("handler broke")
 
-        monkeypatch.setattr(cli, "_cmd_canon", broken)
+        monkeypatch.setattr(cli, "_canon", broken)
         code, out, err = run(capsys, "canon", "--formula", "a1", "--max-vars", "3")
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: handler broke\n"
+        assert get_max_vars() == DEFAULT_MAX_VARS
+
+    def test_fault_in_a_verify_check_exits_4_in_one_line(self, capsys, monkeypatch):
+        import boolring.theorems as theorems
+
+        def broken(n):
+            raise RuntimeError("check broke")
+
+        monkeypatch.setattr(theorems, "verify_ti", broken)
+        code, out, err = run(capsys, "verify", "--ti", "--max-vars", "3")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: check broke\n"
+        assert get_max_vars() == DEFAULT_MAX_VARS
+
+    def test_fault_while_emitting_exits_4_in_one_line(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("emit broke")
+
+        monkeypatch.setattr(json, "dumps", broken)
+        code, out, err = run(capsys, "count", "--formula", "a1", "--json", "--max-vars", "3")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: emit broke\n"
         assert get_max_vars() == DEFAULT_MAX_VARS
 
 

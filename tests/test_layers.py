@@ -50,6 +50,13 @@ def test_operations_do_not_loop_over_all_assignments():
         assert "range(1 <<" not in (SRC / name).read_text(encoding="utf-8"), name
 
 
+def test_cli_loads_and_emits_in_one_place():
+    # main is the one pipeline: no subcommand reads its input or prints on its own
+    text = (SRC / "cli.py").read_text(encoding="utf-8")
+    for call in ("_load(", "_emit("):
+        assert text.count(call) - text.count(f"def {call}") == 1, call
+
+
 ORACLES = ["ADD_TABLE", "MUL_TABLE", "AllowedMapTable", "enumerate_allowed_maps", "basis"]
 
 
