@@ -5,19 +5,21 @@ byte and its block's suffix.  The texts of the positions a block selects
 at one rank therefore come from one ``itertools.compress`` over a table
 of low-byte words and one ``str.join`` whose separator carries the
 block's suffix and prefix, so Python work is per block, not per text.
-``str(Anf)`` and the clause, minterm, CNF and DNF texts of ``primes``
-render through this module and import it inside the call, so a
-process that prints no such text does not load it.
+The blocks and their selectors come from ``ring._selectors`` with
+shift 8, the one scan behind every view of set positions.  ``str(Anf)``
+and the clause, minterm, CNF and DNF texts of ``primes`` render through
+this module and import it inside the call, so a process that prints no
+such text does not load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from operator import itemgetter, rshift
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Callable, Sequence
 
-from .ring import _bit_selectors, _chunk_tables, _nonzero_words, _ones, _var_tts
+from .ring import _chunk_tables, _ones, _var_tts
 
 __all__: list[str] = []
 
@@ -29,25 +31,6 @@ _Table = tuple[
 ]
 # block b -> (prefix, suffix, rank, table)
 _Layout = Callable[[int], tuple[str, str, int, _Table]]
-
-
-def _selectors(x: int) -> tuple[list[int], bytes]:
-    """The 256-position blocks of ``x`` that hold a set bit, ascending, and
-    their 0/1 selectors, 256 per block in the same order: offset i of block
-    b selects position 256 b + i.
-
-    The nonzero 64-bit words are found at C speed, as ``_set_bits`` finds
-    them, and only their blocks are turned into selectors, so the cost
-    follows the nonzero blocks.  When every block up to the top set bit is
-    nonzero, the selectors are read off the whole vector at once.
-    """
-    if not x:
-        return [], b""
-    buf, nonzero = _nonzero_words(x, 4)
-    blocks = list(dict.fromkeys(map(rshift, nonzero, repeat(2))))
-    if len(blocks) << 5 < len(buf):  # some block is zero: keep only the others
-        x = int.from_bytes(b"".join([buf[b << 5 : (b + 1) << 5] for b in blocks]), "little")
-    return blocks, _bit_selectors(x, len(blocks) << 8)
 
 
 def _mirror(n: int, x: int) -> int:
@@ -121,8 +104,8 @@ def _table(steps: bytes, words: Sequence[str]) -> _Table:
 
 @lru_cache(maxsize=64)
 def _anf_layout(n: int) -> _Layout:
-    """The layout of ``str(Anf)``, whose selectors ``_selectors`` reads
-    off ``_mirror(n, mask)``.
+    """The layout of ``str(Anf)``, whose selectors ``ring._selectors``
+    reads off ``_mirror(n, mask)``.
 
     Monomial m sits at c = ~rev(m) (see ``_mirror``), so bit q of c is
     clear exactly when variable n - q is in m.  Of two monomials of equal

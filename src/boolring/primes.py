@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .ring import (
-    BoolFunc, check_var_count, _Frozen, _check_index, _ones, _pack_bits, _set_bits,
+    BoolFunc, check_var_count, _Frozen, _check_index, _ones, _pack_bits, _selectors, _set_bits,
 )
 
 __all__ = [
@@ -159,7 +159,7 @@ def _terms_text(
     ``selected`` is the packed set of indices, or one index in a tuple.
     A term has one word per variable; ``names`` defaults to a1..an.
     """
-    from .blocks import _render_blocks, _selectors, _terms_layout
+    from .blocks import _render_blocks, _terms_layout
 
     clear, set_, sep, joiner, empty = style
     if names is not None:
@@ -170,7 +170,7 @@ def _terms_text(
         (j,) = selected
         blocks, sel = [j >> 8], bytes(j & 255) + b"\1" + bytes(255 - (j & 255))
     else:
-        blocks, sel = _selectors(selected)
+        blocks, sel = _selectors(selected, 8)
     if not blocks:
         return empty
     layout = _terms_layout(n, clear, set_, sep, names)

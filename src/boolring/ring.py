@@ -17,9 +17,9 @@ exactly when both the variable count and the truth vector agree.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress
-from operator import attrgetter
-from typing import Callable, Iterable, TypeVar
+from itertools import chain, compress, repeat
+from operator import attrgetter, rshift
+from typing import Callable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "DEFAULT_MAX_VARS",
@@ -251,6 +251,8 @@ class BoolFunc(_Frozen):
     def from_hex(cls, n: int, digits: str) -> BoolFunc:
         """Inverse of ``to_hex``; ``digits`` may hold hex digits only."""
         check_var_count(n)
+        if not digits:
+            raise ValueError("hex string is empty")
         if set(digits) - _HEX_DIGITS:
             raise ValueError("hex string may contain only hex digits")
         return cls(n, int(digits, 16))
@@ -359,44 +361,51 @@ class Anf(_Frozen):
         their sorted variable lists, e.g. ``1 ⊕ a2 ⊕ a1·a3 ⊕ a2·a3``."""
         if not self.mask:
             return "0"
-        from .blocks import _anf_layout, _mirror, _render_blocks, _selectors  # text only
+        from .blocks import _anf_layout, _mirror, _render_blocks  # text only
 
-        blocks, sel = _selectors(_mirror(self.n, self.mask))
+        blocks, sel = _selectors(_mirror(self.n, self.mask), 8)
         return _render_blocks(blocks, sel, _anf_layout(self.n), " ⊕ ", self.n + 1)
 
 
 def _set_bits(x: int) -> list[int]:
-    """Positions of the set bits of ``x`` in ascending order.
-
-    When the nonzero 64-bit words are at most half of all words, only
-    their bits are walked, so a sparse vector costs a pass over its words
-    plus 64 steps per nonzero word; otherwise every bit is walked.  Either
-    walk turns the binary text, reversed so that character i is bit i,
-    into 0/1 selectors for ``itertools.compress``, and nothing shifts or
-    copies the integer once per bit.
-    """
-    buf, nonzero = _nonzero_words(x)
-    words = len(buf) >> 3
-    if 2 * len(nonzero) > words:
-        return list(compress(range(words << 6), _bit_selectors(x, words << 6)))
-    packed = b"".join([buf[i << 3 : (i + 1) << 3] for i in nonzero])
-    starts = [i << 6 for i in nonzero]
+    """Positions of the set bits of ``x`` in ascending order, read off the
+    selectors of its 64-bit words (see ``_selectors``)."""
+    words, sel = _selectors(x, 6)
+    if not words or words[-1] < len(words):  # every word up to the top: one range
+        return list(compress(range(len(words) << 6), sel))
+    starts = [i << 6 for i in words]
     slots = chain.from_iterable(map(range, starts, map((64).__add__, starts)))
-    return list(compress(slots, _bit_selectors(int.from_bytes(packed, "little"), len(packed) << 3)))
+    return list(compress(slots, sel))
 
 
-def _nonzero_words(x: int, align: int = 1) -> tuple[bytes, list[int]]:
-    """``x`` as little-endian 64-bit words, as many as it needs rounded up
-    to a multiple of ``align``, and the indices of the nonzero ones, found
-    at C speed."""
-    words = -(-x.bit_length() // (align << 6)) * align
+def _selectors(x: int, shift: int) -> tuple[Sequence[int], bytes]:
+    """The units of 2**shift positions (shift >= 6) that hold every set bit
+    of ``x``, ascending, and their 0/1 selectors, 2**shift per unit in the
+    same order: offset i of unit u selects position (u << shift) + i.
+
+    The one rule: the nonzero 64-bit words of ``x`` are found at C speed,
+    and when they are more than half the words up to the top set bit, the
+    selectors are read off the whole vector, every unit up to the top.
+    Otherwise only the units that hold a nonzero word are packed together
+    and read, so a sparse vector costs a pass over its words plus
+    2**shift selectors per nonzero unit.  Either way the binary text,
+    reversed so that character i is bit i, is turned into the selectors,
+    and nothing shifts or copies the integer once per bit.
+    """
+    if not x:
+        return [], b""
+    words = -(-x.bit_length() >> 6)
     buf = x.to_bytes(words << 3, "little")
-    return buf, list(compress(range(words), memoryview(buf).cast("Q")))
-
-
-def _bit_selectors(x: int, width: int) -> bytes:
-    """Bits 0..width - 1 of ``x`` as 0/1 bytes, bit i at offset i."""
-    return format(x, f"0{width}b")[::-1].encode().translate(_BIT_SELECTORS)
+    nonzero = list(compress(range(words), memoryview(buf).cast("Q")))
+    if 2 * len(nonzero) > words:
+        units: Sequence[int] = range(-(-words >> (shift - 6)))
+    else:
+        units = nonzero
+        if shift > 6:  # units of several words: each once
+            units = list(dict.fromkeys(map(rshift, nonzero, repeat(shift - 6))))
+        size = shift - 3  # log2 of a unit's bytes
+        x = int.from_bytes(b"".join([buf[u << size : (u + 1) << size] for u in units]), "little")
+    return units, format(x, f"0{len(units) << shift}b")[::-1].encode().translate(_BIT_SELECTORS)
 
 
 def _pack_bits(n: int, positions: Iterable[int]) -> int:

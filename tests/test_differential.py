@@ -21,7 +21,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import boolring.blocks as blocks
 import boolring.theorems as theorems
 from boolring import (
     AllowedMapTable,
@@ -58,7 +57,7 @@ from boolring import (
     zero,
 )
 from boolring.cli import main
-from boolring.ring import _set_bits
+from boolring.ring import _selectors, _set_bits
 
 MAX_N = 10
 
@@ -536,11 +535,19 @@ BOUNDARY_N = (8, 9, 16, 17, 24)
 DENSE_BOUNDARY_N = (8, 9, 16)
 
 
-def ref_selectors(x):
-    """The blocks of 256 positions that hold a set bit and their 0/1
-    selectors, one bit at a time."""
-    found = sorted({i >> 8 for i in ref_set_bits(x)})
-    return found, bytes((x >> ((b << 8) + i)) & 1 for b in found for i in range(256))
+def ref_units(x, shift):
+    """The units of 2**shift positions that hold a set bit."""
+    return sorted({i >> shift for i in ref_set_bits(x)})
+
+
+def ref_selectors(x, units, shift):
+    """The 0/1 selectors of the given units of 2**shift positions, one bit at a time."""
+    return bytes((x >> ((u << shift) + i)) & 1 for u in units for i in range(1 << shift))
+
+
+def words_vector(rng, words):
+    """The vector whose given 64-bit words are random and nonzero, the others zero."""
+    return sum((rng.getrandbits(64) | 1 << rng.randrange(64)) << (64 * w) for w in words)
 
 
 # name -> a function of a seeded rng giving (n, vector)
@@ -564,6 +571,13 @@ SELECTOR_CASES = {
     "runs_across_blocks": lambda rng: (
         14, pack(p for s in rng.sample(range(1 << 14), 12) for p in range(s, s + 300)
                     if p < 1 << 14)),
+    # at the rule of ``_selectors``: words 32..63 of 64 fill blocks 8..15,
+    # and word 0 tips the count past half, so blocks 1..7 stay zero
+    "half_the_words": lambda rng: (12, words_vector(rng, range(32, 64))),
+    "half_plus_one_words": lambda rng: (12, words_vector(rng, [0, *range(32, 64)])),
+    "only_word_0_zero": lambda rng: (12, words_vector(rng, range(1, 64))),
+    # 9 of 64 words, in 9 of 16 blocks: the rule counts words, not blocks
+    "one_word_in_most_blocks": lambda rng: (12, words_vector(rng, [*range(0, 32, 4), 63])),
 }
 
 
@@ -659,11 +673,19 @@ class TestTextEmitters:
 
     @pytest.mark.parametrize("case", sorted(SELECTOR_CASES))
     def test_selectors_read_the_nonzero_blocks(self, case):
-        """``blocks._selectors`` lists exactly the nonzero 256-position blocks
-        and their selectors bit for bit; the texts over the same vector
-        match the references."""
+        """``ring._selectors`` lists ascending units that include every
+        nonzero one: exactly the nonzero ones when at most half the 64-bit
+        words up to the top set bit are nonzero, and every unit up to the
+        top otherwise; its selectors match those units bit for bit, and
+        the texts over the same vector match the references."""
         n, x = SELECTOR_CASES[case](random.Random(case))
-        assert blocks._selectors(x) == ref_selectors(x)
+        words = -(-x.bit_length() // 64)
+        sparse = 2 * len(ref_units(x, 6)) <= words
+        for shift in (6, 8):
+            units, sel = _selectors(x, shift)
+            found = ref_units(x, shift)
+            assert list(units) == (found if sparse else list(range(found[-1] + 1)))
+            assert sel == ref_selectors(x, units, shift)
         positions = ref_set_bits(x)
         monos = frozenset(monomial_of(m) for m in positions)
         assert str(Anf(n, monos)) == ref_anf_text(monos)
@@ -816,8 +838,9 @@ def sparse_vectors(draw, max_n=20):
 
 
 class TestSetBitsRoutes:
-    """``_set_bits`` walks only the nonzero 64-bit words when they are at most
-    half of all words, and every bit otherwise; both routes against the scan."""
+    """``_set_bits`` reads the selectors of ``_selectors`` at shift 6: of only
+    the nonzero 64-bit words when they are at most half the words up to the
+    top set bit, of every word otherwise; both routes against the scan."""
 
     @given(sparse_vectors())
     def test_sparse(self, case):

@@ -50,6 +50,15 @@ def test_operations_do_not_loop_over_all_assignments():
         assert "range(1 <<" not in (SRC / name).read_text(encoding="utf-8"), name
 
 
+def test_only_ring_reads_the_bytes_of_a_vector():
+    # the set positions of a vector are found in one scan, ring._selectors
+    for path in SRC.glob("*.py"):
+        if path.name != "ring.py":
+            text = path.read_text(encoding="utf-8")
+            for call in ("to_bytes(", "from_bytes(", "memoryview("):
+                assert call not in text, (path.name, call)
+
+
 def test_cli_loads_and_emits_in_one_place():
     # main is the one pipeline: no subcommand reads its input or prints on its own
     text = (SRC / "cli.py").read_text(encoding="utf-8")

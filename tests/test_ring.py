@@ -320,6 +320,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             BoolFunc.from_bits("10x0")
 
+    def test_from_hex_rejects_the_empty_string(self):
+        with pytest.raises(ValueError, match="hex string is empty") as exc:
+            BoolFunc.from_hex(3, "")
+        assert "invalid literal" not in str(exc.value)
+
     @pytest.mark.parametrize("digits", ["0x_ff", " ff ", "f_f", "+ff", "-f", "0xff", "ff\n", "f٣"])
     def test_from_hex_rejects_non_hex_characters(self, digits):
         with pytest.raises(ValueError, match="only hex digits"):
