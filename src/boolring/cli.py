@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .primes import decompose, prime_cnf_text
 from .ring import (
-    BoolFunc, SizeLimitError, get_max_vars, one, set_max_vars, to_anf, _decimal, _set_bits,
+    BoolFunc, SizeLimitError, check_var_count, get_max_vars, one, set_max_vars, to_anf,
+    _decimal, _set_bits,
 )
 from .truthmaps import count_models, satisfying_assignments
 
@@ -169,6 +170,7 @@ def _verify(func: None, source: None, args: argparse.Namespace) -> tuple[Fields,
         cap = caps.get(name)  # None: the check ignores --n
         if cap is not None and args.n > cap:
             raise SizeLimitError(f"{name} is capped at n <= {cap}; drop it or lower --n")
+    check_var_count(args.n)  # also when no selected check reads n
     reports = [run(theorems, args.n) for _, run in selected]
     passed = all(r.passed for r in reports)
     dicts = [r.as_dict(with_elapsed=False) for r in reports]

@@ -6,7 +6,9 @@ bare identifiers (assigned indices in order of first appearance; the
 two styles cannot be mixed).  ``!`` binds tightest, then ``&``, then
 ``|`` and ``^`` at equal strength, then right-associative ``->``.
 Chains mixing ``|`` and ``^`` without parentheses are rejected.  One
-operator table drives the parser and the renderer.  A parsed formula is
+operator table drives the parser and the renderer.  The parser is one
+function over one list of token strings; a token's offset in the text
+is found again only when a syntax error is raised.  A parsed formula is
 one flat tuple of postfix code, and evaluating, flipping and rendering
 it are each one loop over that tuple, so nesting depth is not limited
 by the recursion limit.
@@ -102,7 +104,7 @@ class Formula(_Frozen):
     negates the top value; -4 (``->``), -5 (``|``), -6 (``^``) and -7
     (``&``) replace the top two values, lhs below rhs, by the connective
     over them, and -8 to -11 are the same four with the rhs below the lhs.
-    The constructor checks n, one name per variable, and the code in one
+    The constructor checks n, one str name per variable, and the code in one
     pass: every entry is a known opcode or a variable in 1..n, and the
     code leaves exactly one value.
     """
@@ -114,6 +116,9 @@ class Formula(_Frozen):
         code, names = tuple(code), tuple(names)
         if len(names) != n:
             raise ValueError(f"{len(names)} names given for {n} variables")
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError(f"formula variable name must be a str, got {type(name).__name__}")
         depth = 0
         for op in code:
             if isinstance(op, bool) or not isinstance(op, int):
@@ -164,25 +169,22 @@ class Formula(_Frozen):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer and precedence parser
+# tokens and precedence parser
 
-_TOKEN_RE = re.compile(r"(->|[()!&|^]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S)")
+_TOKEN_RE = re.compile(r"(->|[()!&|^]|\d+|[A-Za-z_][A-Za-z0-9_]*)|\S")  # a stray character is ''
 _INDEXED_RE = re.compile(r"a(\d+)\Z")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        tok, bad = m.groups()
-        if bad:
-            raise FormulaSyntaxError(f"unexpected character {bad!r}", m.start())
-        tokens.append((tok, m.start()))
-    tokens.append(("", len(text)))  # end marker
-    return tokens
+def _error(text: str, k: int, message: str) -> FormulaSyntaxError:
+    """``message`` at token k of ``text``; the end marker sits at ``len(text)``."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return FormulaSyntaxError(message, starts[k] if k < len(starts) else len(text))
 
 
-class _Parser:
-    """Operator precedence with an operand and an operator stack (Pratt,
+def _parse(text: str, declared_n: int | None) -> tuple[deque[int], int, dict[str, int]]:
+    """Formula code, the highest variable index and the named variables of ``text``.
+
+    Operator precedence with an operand and an operator stack (Pratt,
     POPL 1973; Norvell 1999), so nesting depth costs no recursion.
 
     Each operand is its code and its Sethi-Ullman need, the most values
@@ -190,95 +192,90 @@ class _Parser:
     operand first, so evaluation holds a few values however deep the
     nesting, not one per level.
     """
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:  # a stray character is reported ahead of any other error
+        bad = next(m for m in _TOKEN_RE.finditer(text) if not m.group(1))
+        raise FormulaSyntaxError(f"unexpected character {bad[0]!r}", bad.start())
+    tokens.append("")  # end marker
+    max_index = 0  # highest index so far, in either style
+    named: dict[str, int] = {}
 
-    def __init__(self, text: str, declared_n: int | None) -> None:
-        self._tokens = _tokenize(text)
-        self._declared_n = declared_n
-        self.max_index = 0  # highest index so far, in either style
-        self.named: dict[str, int] = {}
-
-    def parse(self) -> deque[int]:
-        out: list[tuple[deque[int], int]] = []  # operand code and need, innermost last
-        ops: list[str] = []  # pending '(', '!' and binary operators, innermost last
-        # each leaf token accepted so far and its code: every check of ``_leaf``
-        # depends only on the token and the tokens before it, and none that a
-        # token passed once can fail later, so a repeated token is looked up
-        leaves: dict[str, int] = {}
-        want_operand = True
-        for tok, pos in self._tokens:
-            if want_operand:
-                if tok == "!" or tok == "(":
-                    ops.append(tok)
-                    continue
-                leaf = leaves.get(tok)
-                if leaf is None:
-                    leaf = leaves[tok] = self._leaf(tok, pos)
-                operand = (deque((leaf,)), 1)
-            else:
-                # build the pending operators that bind tighter, or as tight unless
-                # ``tok`` groups right; ')', the end or a stray operand builds all
-                level, right = _BINARY.get(tok, (0, True))
-                while ops and (top := _BINARY.get(ops[-1])) and top[0] >= level + right:
-                    if top[0] == level and ops[-1] != tok:
-                        raise FormulaSyntaxError("mixing '|' and '^' needs parentheses", pos)
-                    (rhs, r_need), (lhs, l_need) = out.pop(), out[-1]
-                    op = _OPCODE[ops.pop()]
-                    need = max(l_need, r_need) if l_need != r_need else l_need + 1
-                    if r_need > l_need:
-                        lhs, rhs, op = rhs, lhs, op - _SWAP
-                    code = _concat(lhs, rhs)
-                    code.append(op)
-                    out[-1] = (code, need)
-                if tok in _BINARY:
-                    ops.append(tok)
-                    want_operand = True
-                    continue
-                if not ops and not tok:
-                    break
-                if not ops or tok != ")":  # what is left on ops is an open '('
-                    raise FormulaSyntaxError("expected ')'" if ops else f"unexpected {tok!r}", pos)
-                ops.pop()
-                operand = out.pop()
-            while ops and ops[-1] == "!":
-                ops.pop()
-                operand[0].append(_NOT)
-            out.append(operand)
-            want_operand = False
-        return out[0][0]
-
-    def _leaf(self, tok: str, pos: int) -> int:
+    def leaf(tok: str, k: int) -> int:
+        nonlocal max_index
         if tok.isdigit():
             if tok in ("0", "1"):
                 return _OPCODE[tok]
-            raise FormulaSyntaxError(f"constants are 0 and 1, got {tok}", pos)
+            raise _error(text, k, f"constants are 0 and 1, got {tok}")
         if not tok:
-            raise FormulaSyntaxError("unexpected end of input", pos)
+            raise _error(text, k, "unexpected end of input")
         if not (tok[0].isalpha() or tok[0] == "_"):
-            raise FormulaSyntaxError(f"unexpected {tok!r}", pos)
+            raise _error(text, k, f"unexpected {tok!r}")
         m = _INDEXED_RE.fullmatch(tok)
         index = int(m.group(1)) if m else None
         if index == 0:
-            raise FormulaSyntaxError("variable indices start at a1", pos)
+            raise _error(text, k, "variable indices start at a1")
         if m and tok[1] == "0":  # a01 would name a1
-            raise FormulaSyntaxError(f"variable indices have no leading zero, got {tok}", pos)
-        if self.max_index and bool(self.named) != (index is None):  # other style seen
-            raise FormulaSyntaxError(
-                "cannot mix indexed variables (a<k>) with named variables", pos
-            )
+            raise _error(text, k, f"variable indices have no leading zero, got {tok}")
+        if max_index and bool(named) != (index is None):  # other style seen
+            raise _error(text, k, "cannot mix indexed variables (a<k>) with named variables")
         if index is None:
-            if tok not in self.named:
-                if self._declared_n is not None and len(self.named) >= self._declared_n:
-                    raise FormulaSyntaxError(
-                        f"more than {self._declared_n} distinct variables", pos
-                    )
-                self.named[tok] = len(self.named) + 1
-            index = self.named[tok]
-        elif self._declared_n is not None and index > self._declared_n:
-            raise FormulaSyntaxError(
-                f"variable a{index} beyond declared count {self._declared_n}", pos
-            )
-        self.max_index = max(self.max_index, index)
+            if tok not in named:
+                if declared_n is not None and len(named) >= declared_n:
+                    raise _error(text, k, f"more than {declared_n} distinct variables")
+                named[tok] = len(named) + 1
+            index = named[tok]
+        elif declared_n is not None and index > declared_n:
+            raise _error(text, k, f"variable a{index} beyond declared count {declared_n}")
+        max_index = max(max_index, index)
         return index
+
+    out: list[tuple[deque[int], int]] = []  # operand code and need, innermost last
+    ops: list[str] = []  # pending '(', '!' and binary operators, innermost last
+    # each leaf token accepted so far and its code: every check of ``leaf``
+    # depends only on the token and the tokens before it, and none that a
+    # token passed once can fail later, so a repeated token is looked up
+    leaves: dict[str, int] = {}
+    want_operand = True
+    for k, tok in enumerate(tokens):
+        if want_operand:
+            if tok == "!" or tok == "(":
+                ops.append(tok)
+                continue
+            entry = leaves.get(tok)
+            if entry is None:
+                entry = leaves[tok] = leaf(tok, k)
+            operand = (deque((entry,)), 1)
+        else:
+            # build the pending operators that bind tighter, or as tight unless
+            # ``tok`` groups right; ')', the end or a stray operand builds all
+            level, right = _BINARY.get(tok, (0, True))
+            while ops and (top := _BINARY.get(ops[-1])) and top[0] >= level + right:
+                if top[0] == level and ops[-1] != tok:
+                    raise _error(text, k, "mixing '|' and '^' needs parentheses")
+                (rhs, r_need), (lhs, l_need) = out.pop(), out[-1]
+                op = _OPCODE[ops.pop()]
+                need = max(l_need, r_need) if l_need != r_need else l_need + 1
+                if r_need > l_need:
+                    lhs, rhs, op = rhs, lhs, op - _SWAP
+                code = _concat(lhs, rhs)
+                code.append(op)
+                out[-1] = (code, need)
+            if tok in _BINARY:
+                ops.append(tok)
+                want_operand = True
+                continue
+            if not ops and not tok:
+                break
+            if not ops or tok != ")":  # what is left on ops is an open '('
+                raise _error(text, k, "expected ')'" if ops else f"unexpected {tok!r}")
+            ops.pop()
+            operand = out.pop()
+        while ops and ops[-1] == "!":
+            ops.pop()
+            operand[0].append(_NOT)
+        out.append(operand)
+        want_operand = False
+    return out[0][0], max_index, named
 
 
 def parse_formula(text: str, n: int | None = None) -> Formula:
@@ -289,11 +286,10 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
     """
     if n is not None:
         check_var_count(n)
-    parser = _Parser(text, n)
-    code = parser.parse()
-    count = n if n is not None else max(parser.max_index, 1)
+    code, max_index, named = _parse(text, n)
+    count = n if n is not None else max(max_index, 1)
     check_var_count(count)
-    names = tuple(parser.named)  # empty for indexed variables
+    names = tuple(named)  # empty for indexed variables
     names += tuple(f"a{r}" for r in range(len(names) + 1, count + 1))
     return Formula._of(tuple(code), count, names)
 

@@ -184,6 +184,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--flip-group", "--n", "7")
         assert code == 3
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_count_checked_when_no_check_reads_it(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--resolution", "--n", n, "--json")
+        assert code == 3
+        assert out == ""
+        assert err == f"refused: variable count {n} outside 1..24\n"
+
+    def test_count_under_a_raised_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--resolution", "--n", "30", "--max-vars", "30")
+        assert code == 0
+        assert "resolution" in out and "PASS" in out
+
     def test_no_selection(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2")
         assert code == 2

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 
@@ -255,12 +256,37 @@ class TestParser:
         ("a1 & a1 & a010", 10, "variable indices have no leading zero, got a010", 10),
         ("1 & 1 & 2", None, "constants are 0 and 1, got 2", 8),
         ("a2 & a2 a2", None, "unexpected 'a2'", 8),
+        # a stray character is reported ahead of an earlier syntax error
+        ("a1 & & $", None, "unexpected character '$'", 7),
+        ("(a1 a2 é", None, "unexpected character 'é'", 7),
     ])
     def test_error_messages(self, text, n, message, position):
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula(text, n)
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+    def test_error_positions_random(self):
+        # every error points at the start of a token or at the end of the text,
+        # and the first stray character, if any, is the one reported
+        token_re = re.compile(r"(->|[()!&|^]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S)")
+        rng = random.Random(2023)
+        for _ in range(2000):
+            text = "".join(rng.choice("a1x0 2()!&|^->$") for _ in range(rng.randint(0, 12)))
+            matches = list(token_re.finditer(text))
+            stray = next((m.start() for m in matches if m.group(2)), None)
+            try:
+                parse_formula(text)
+            except FormulaSyntaxError as exc:
+                pos = exc.position
+                assert pos == len(text) or pos in {m.start() for m in matches}, text
+                if stray is not None:
+                    assert pos == stray, text
+                    assert str(exc) == f"unexpected character {text[pos]!r} (at position {pos})"
+                else:
+                    assert "unexpected character" not in str(exc), text
+            else:
+                assert stray is None, text
 
 
 class TestToText:

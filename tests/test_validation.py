@@ -158,11 +158,12 @@ CASES = [
     ("LiteralProduct(2, (1, 'x'))", lambda: LiteralProduct(2, (1, "x")), TypeError),
     ("CnfDoc(2, ((True,),))", lambda: CnfDoc(2, ((True,),)), DimacsError),
     ("CnfDoc(2, ((1, False),))", lambda: CnfDoc(2, ((1, False),)), DimacsError),
-    # formulas: the variable count, one name per variable, and the code's entries,
+    # formulas: the variable count, one str name per variable, and the code's entries,
     # opcodes, variables and stack depth
     ("Formula((1,), True, ...)", lambda: Formula((1,), True, ("a1",)), TypeError),
     ("Formula((-2,), 0, ())", lambda: Formula((-2,), 0, ()), SizeLimitError),
     ("Formula((1, 2, -7), 2, ('x',))", lambda: Formula((1, 2, -7), 2, ("x",)), ValueError),
+    ("Formula((1,), 1, (5,))", lambda: Formula((1,), 1, (5,)), TypeError),
     ("Formula((True,), 1, ...)", lambda: Formula((True,), 1, ("a1",)), TypeError),
     ("Formula((1.0,), 1, ...)", lambda: Formula((1.0,), 1, ("a1",)), TypeError),
     ("Formula(('1',), 1, ...)", lambda: Formula(("1",), 1, ("a1",)), TypeError),
