@@ -14,7 +14,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# home module of every public name
+# every public name, by home module: the one declaration, which each module's
+# __all__ reads its row from
 _EXPORTS = {
     "ring": (
         "DEFAULT_MAX_VARS", "Anf", "BoolFunc", "SizeLimitError", "add", "from_anf",

@@ -162,12 +162,11 @@ def _flip(func: BoolFunc, source: Source, args: argparse.Namespace) -> tuple[Fie
 def _verify(func: None, source: None, args: argparse.Namespace) -> tuple[Fields, int]:
     from . import theorems
 
-    caps = {**theorems.THEOREM_CAPS, "flip-group": theorems.GROUP_CHECK_LIMIT}
     selected = [(name, run) for name, _, _, run in _CHECKS if args.all or getattr(args, name)]
     if not selected:
         raise _UsageError("select at least one check (or use --all)")
     for name, _ in selected:
-        cap = caps.get(name)  # None: the check ignores --n
+        cap = theorems.THEOREM_CAPS.get(name)  # None: the check ignores --n
         if cap is not None and args.n > cap:
             raise SizeLimitError(f"{name} is capped at n <= {cap}; drop it or lower --n")
     check_var_count(args.n)  # also when no selected check reads n

@@ -8,10 +8,11 @@ they permute minterms and maxterms, so they preserve model counts.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _var_tts
 from .truthmaps import Assignment, _index_of
 
-__all__ = ["FlipMask", "apply_flip", "pi"]
+__all__ = list(_EXPORTS["flipgroup"])
 
 
 class FlipMask(_Frozen):

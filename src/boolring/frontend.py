@@ -26,25 +26,12 @@ import re
 from collections import deque
 from typing import Iterable
 
+from . import _EXPORTS
 from .flipgroup import FlipMask, _mask_of
 from .primes import PrimeSet, decompose
 from .ring import BoolFunc, check_var_count, _Frozen, _check_var, _decimal, _ones, _var_tts
 
-__all__ = [
-    "FormulaSyntaxError",
-    "DimacsError",
-    "Formula",
-    "CnfDoc",
-    "parse_formula",
-    "eval_ast",
-    "ast_flip",
-    "parse_dimacs",
-    "to_dimacs",
-    "clause_blowup",
-    "cnf_to_primes",
-    "eval_cnf",
-    "cnf_flip",
-]
+__all__ = list(_EXPORTS["frontend"])
 
 
 class FormulaSyntaxError(ValueError):

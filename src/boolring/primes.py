@@ -14,23 +14,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .ring import (
     BoolFunc, check_var_count, _Frozen, _check_index, _ones, _pack_bits, _selectors, _set_bits,
 )
 
-__all__ = [
-    "PrimeSet",
-    "LiteralProduct",
-    "prime",
-    "literal_form",
-    "decompose",
-    "compose",
-    "orthogonal",
-    "clause_text",
-    "minterm_text",
-    "prime_cnf_text",
-    "minterm_dnf_text",
-]
+__all__ = list(_EXPORTS["primes"])
 
 
 class PrimeSet(_Frozen):
@@ -166,6 +155,9 @@ def _terms_text(
         names = tuple(names)
         if len(names) != n:
             raise ValueError(f"{len(names)} names given for {n} variables")
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError(f"variable name must be a str, got {type(name).__name__}")
     if isinstance(selected, tuple):  # one index: its block, built directly
         (j,) = selected
         blocks, sel = [j >> 8], bytes(j & 255) + b"\1" + bytes(255 - (j & 255))

@@ -21,23 +21,9 @@ from itertools import chain, compress, repeat
 from operator import attrgetter, rshift
 from typing import Callable, Iterable, Sequence, TypeVar
 
-__all__ = [
-    "DEFAULT_MAX_VARS",
-    "SizeLimitError",
-    "BoolFunc",
-    "Anf",
-    "get_max_vars",
-    "set_max_vars",
-    "zero",
-    "one",
-    "var",
-    "add",
-    "mul",
-    "neg",
-    "or_",
-    "to_anf",
-    "from_anf",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["ring"])
 
 DEFAULT_MAX_VARS = 24
 

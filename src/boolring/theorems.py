@@ -36,6 +36,7 @@ from functools import reduce
 from operator import and_, xor
 from typing import Any, Callable, Iterable
 
+from . import _EXPORTS
 from .flipgroup import apply_flip, pi
 from .primes import compose, decompose, prime
 from .ring import (
@@ -44,27 +45,11 @@ from .ring import (
 )
 from .truthmaps import count_models, eval_at
 
-__all__ = [
-    "ADD_TABLE",
-    "MUL_TABLE",
-    "AllowedMapTable",
-    "enumerate_allowed_maps",
-    "basis",
-    "verify_ti",
-    "verify_tii_tiii",
-    "verify_tiv",
-    "verify_tv",
-    "verify_resolution",
-    "flip_group_check",
-    "conservation_check",
-    "THEOREM_CAPS",
-    "GROUP_CHECK_LIMIT",
-    "Report",
-]
+__all__ = list(_EXPORTS["theorems"])
 
-# largest n each check is willing to enumerate
-THEOREM_CAPS = {"TI": 3, "TII+TIII": 3, "TIV": 2, "TV": 6}
-GROUP_CHECK_LIMIT = 6
+# largest n each check is willing to enumerate, by report name
+THEOREM_CAPS = {"TI": 3, "TII+TIII": 3, "TIV": 2, "TV": 6, "flip-group": 6, "conservation": 14}
+GROUP_CHECK_LIMIT = THEOREM_CAPS["flip-group"]
 
 # image of a sum / product, indexed by the images of the two operands
 ADD_TABLE = ((0, 1), (1, 0))
@@ -402,7 +387,7 @@ def flip_group_check(n: int) -> Report:
     assignment indices.  Exhaustive over the whole function space for
     n <= 3, seeded random samples above that.
     """
-    _check_cap(n, GROUP_CHECK_LIMIT, "group check")
+    _check_cap(n, THEOREM_CAPS["flip-group"], "group check")
     chk = Checker("flip-group", n)
     size = 1 << n
     if n <= 3:
@@ -441,9 +426,10 @@ def conservation_check(a: BoolFunc) -> Report:
     """Model count of ``a`` is unchanged by every one of the 2**n flips.
 
     Each flip moves a whole 2**n-bit vector, so the check costs O(4**n)
-    and is capped at n <= 14 (about 0.6 s there).
+    and is capped at ``THEOREM_CAPS["conservation"]``, n <= 14 (about 0.6 s
+    there).
     """
-    _check_cap(a.n, 14, "conservation check")
+    _check_cap(a.n, THEOREM_CAPS["conservation"], "conservation check")
     chk = Checker("conservation", a.n)
     want = count_models(a)
     for s in range(1 << a.n):

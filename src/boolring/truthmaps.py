@@ -5,16 +5,12 @@ from __future__ import annotations
 from collections import deque
 from itertools import repeat
 
+from . import _EXPORTS
 from .ring import (
     BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _chunk_tables, _set_bits,
 )
 
-__all__ = [
-    "Assignment",
-    "eval_at",
-    "count_models",
-    "satisfying_assignments",
-]
+__all__ = list(_EXPORTS["truthmaps"])
 
 
 class Assignment(_Frozen):

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -382,6 +383,42 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert stderr == b""
+
+
+SUBCOMMANDS = ["canon", "count", "expand", "flip", "verify", "taut"]
+
+
+def _defined_options():
+    """Each subcommand's option strings, read from the parser main builds."""
+    import argparse
+
+    from boolring.cli import _build_parser
+
+    (subs,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sub._actions for s in a.option_strings}
+            for name, sub in subs.choices.items()}
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.err == ""
+    return captured.out
+
+
+class TestHelp:
+    # argparse lays help out differently across Python versions: compare names, not bytes
+    def test_top_level_names_every_subcommand(self, capsys):
+        assert sorted(_defined_options()) == sorted(SUBCOMMANDS)
+        words = set(re.findall(r"[\w-]+", _help(capsys)))
+        assert set(SUBCOMMANDS) <= words
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_names_every_option(self, capsys, name):
+        options = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", _help(capsys, name)))
+        assert _defined_options()[name] <= options
 
 
 class TestDeepFormula:

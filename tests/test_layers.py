@@ -2,6 +2,7 @@
 suite, the package imports nothing until a name is used, and each CLI
 subcommand loads only the modules it runs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -162,6 +163,31 @@ def test_export_table_matches_each_modules_all():
         assert set(names) <= listed, module
         unexported |= listed - set(names)
     assert unexported == set()
+
+
+DECLARING = ["ring", "primes", "truthmaps", "flipgroup", "frontend", "theorems"]
+
+
+def test_each_module_reads_its_all_from_the_export_table():
+    for module in DECLARING:
+        assert import_module(f"boolring.{module}").__all__ == list(boolring._EXPORTS[module])
+
+
+def test_public_names_are_written_only_in_the_export_table():
+    # a module's __all__ is read from boolring._EXPORTS, never spelled out again
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                continue
+            listed = [e.value for e in getattr(node.value, "elts", ())
+                      if isinstance(e, ast.Constant)]
+            # cli's entry point is the one name the package does not re-export
+            assert listed == (["main"] if path.name == "cli.py" else []), (path.name, listed)
 
 
 def test_submodules_resolve_after_a_bare_import():

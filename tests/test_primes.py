@@ -10,6 +10,7 @@ from boolring import (
     compose,
     decompose,
     literal_form,
+    minterm_dnf_text,
     minterm_text,
     mul,
     neg,
@@ -17,6 +18,7 @@ from boolring import (
     or_,
     orthogonal,
     prime,
+    prime_cnf_text,
     var,
     zero,
 )
@@ -217,3 +219,15 @@ class TestTextForms:
     def test_names_must_match_variable_count(self, emit, names):
         with pytest.raises(ValueError, match=f"{len(names)} names given for 3 variables"):
             emit(3, 1, names)
+
+    @pytest.mark.parametrize("name", [None, 2, ["q"]], ids=["None", "int", "list"])
+    @pytest.mark.parametrize("emit", [
+        lambda names: clause_text(2, 1, names),
+        lambda names: minterm_text(2, 1, names),
+        lambda names: prime_cnf_text(PrimeSet(2, [1, 2]), names),
+        lambda names: minterm_dnf_text(PrimeSet(2, [1, 2]), names),
+    ], ids=["clause_text", "minterm_text", "prime_cnf_text", "minterm_dnf_text"])
+    def test_names_must_be_strings(self, emit, name):
+        expected = f"variable name must be a str, got {type(name).__name__}"
+        with pytest.raises(TypeError, match=expected):
+            emit(["p", name])
