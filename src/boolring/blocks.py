@@ -5,11 +5,11 @@ byte and its block's suffix.  The texts of the positions a block selects
 at one rank therefore come from one ``itertools.compress`` over a table
 of low-byte words and one ``str.join`` whose separator carries the
 block's suffix and prefix, so Python work is per block, not per text.
-The blocks and their selectors come from ``ring._selectors`` with
-shift 8, the one scan behind every view of set positions.  ``str(Anf)``
-and the clause, minterm, CNF and DNF texts of ``primes`` render through
-this module and import it inside the call, so a process that prints no
-such text does not load it.
+Only this module cuts a vector into blocks: ``ring._selectors`` with
+shift 8, the one scan behind every view of set positions, or for one
+position its block directly.  ``str(Anf)`` and the clause, minterm, CNF
+and DNF texts of ``primes`` render through this module and import it
+inside the call, so a process that prints no such text does not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import chain, compress
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .ring import _chunk_tables, _ones, _var_tts
+from .ring import _chunk_tables, _ones, _selectors, _var_tts
 
 __all__: list[str] = []
 
@@ -51,18 +51,24 @@ def _mirror(n: int, x: int) -> int:
 
 
 def _render_blocks(
-    blocks: Sequence[int], sel: bytes, layout: _Layout, joiner: str, ranks: int,
+    selected: int | tuple[int], layout: _Layout, joiner: str, ranks: int,
     head: str = "", tail: str = "",
 ) -> str:
-    """The texts of the selected positions of ``blocks``, joined by ``joiner``
-    between ``head`` and ``tail``.
+    """The texts of the selected positions, joined by ``joiner`` between
+    ``head`` and ``tail``.
 
-    ``layout(b)`` gives block b's prefix, suffix, rank and table (see
-    ``_Table``).  The texts are ordered by rank (the block's rank plus
-    the offset's step, below ``ranks``), then by block, then by offset.
-    The texts of one step of a block are one string, which is copied once
-    more, into the result.
+    ``selected`` is a nonzero packed vector of positions, or one position
+    in a tuple.  ``layout(b)`` gives block b's prefix, suffix, rank and
+    table (see ``_Table``).  The texts are ordered by rank (the block's
+    rank plus the offset's step, below ``ranks``), then by block, then by
+    offset.  The texts of one step of a block are one string, which is
+    copied once more, into the result.
     """
+    if isinstance(selected, tuple):  # one position: its block, built directly
+        (j,) = selected
+        blocks, sel = [j >> 8], bytes(j & 255) + b"\1" + bytes(255 - (j & 255))
+    else:
+        blocks, sel = _selectors(selected, 8)
     by_rank: list[list[str]] = [[] for _ in range(ranks)]
     find = sel.find
     at = find(1)
@@ -104,8 +110,7 @@ def _table(steps: bytes, words: Sequence[str]) -> _Table:
 
 @lru_cache(maxsize=64)
 def _anf_layout(n: int) -> _Layout:
-    """The layout of ``str(Anf)``, whose selectors ``ring._selectors``
-    reads off ``_mirror(n, mask)``.
+    """The layout of ``str(Anf)``, whose blocks are those of ``_mirror(n, mask)``.
 
     Monomial m sits at c = ~rev(m) (see ``_mirror``), so bit q of c is
     clear exactly when variable n - q is in m.  Of two monomials of equal

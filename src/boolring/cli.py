@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .primes import decompose, prime_cnf_text
 from .ring import (
-    BoolFunc, SizeLimitError, check_var_count, get_max_vars, one, set_max_vars, to_anf,
-    _decimal, _set_bits,
+    DEFAULT_MAX_VARS, BoolFunc, SizeLimitError, check_var_count, get_max_vars, one, set_max_vars,
+    to_anf, _decimal, _set_bits,
 )
 from .truthmaps import count_models, satisfying_assignments
 
@@ -183,7 +183,7 @@ def _taut(func: BoolFunc, source: Source, args: argparse.Namespace) -> tuple[Fie
 
 def _add_cap_and_json(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-vars", type=_decimal, default=None,
-                     help="override the variable cap (default 24)")
+                     help=f"override the variable cap (default {DEFAULT_MAX_VARS})")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 

@@ -29,7 +29,9 @@ from typing import Iterable
 from . import _EXPORTS
 from .flipgroup import FlipMask, _mask_of
 from .primes import PrimeSet, decompose
-from .ring import BoolFunc, check_var_count, _Frozen, _check_var, _decimal, _ones, _var_tts
+from .ring import (
+    BoolFunc, check_var_count, _Frozen, _check_names, _check_var, _decimal, _ones, _var_tts,
+)
 
 __all__ = list(_EXPORTS["frontend"])
 
@@ -100,12 +102,7 @@ class Formula(_Frozen):
 
     def __init__(self, code: Iterable[int], n: int, names: Iterable[str]) -> None:
         check_var_count(n)
-        code, names = tuple(code), tuple(names)
-        if len(names) != n:
-            raise ValueError(f"{len(names)} names given for {n} variables")
-        for name in names:
-            if not isinstance(name, str):
-                raise TypeError(f"formula variable name must be a str, got {type(name).__name__}")
+        code, names = tuple(code), _check_names(n, names, "formula variable name")
         depth = 0
         for op in code:
             if isinstance(op, bool) or not isinstance(op, int):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import _EXPORTS
 from .ring import (
-    BoolFunc, check_var_count, _Frozen, _check_index, _ones, _pack_bits, _selectors, _set_bits,
+    BoolFunc, check_var_count, _Frozen, _check_index, _check_names, _ones, _pack_bits, _set_bits,
 )
 
 __all__ = list(_EXPORTS["primes"])
@@ -152,21 +152,11 @@ def _terms_text(
 
     clear, set_, sep, joiner, empty = style
     if names is not None:
-        names = tuple(names)
-        if len(names) != n:
-            raise ValueError(f"{len(names)} names given for {n} variables")
-        for name in names:
-            if not isinstance(name, str):
-                raise TypeError(f"variable name must be a str, got {type(name).__name__}")
-    if isinstance(selected, tuple):  # one index: its block, built directly
-        (j,) = selected
-        blocks, sel = [j >> 8], bytes(j & 255) + b"\1" + bytes(255 - (j & 255))
-    else:
-        blocks, sel = _selectors(selected, 8)
-    if not blocks:
+        names = _check_names(n, names, "variable name")
+    if not selected:
         return empty
     layout = _terms_layout(n, clear, set_, sep, names)
-    return _render_blocks(blocks, sel, layout, joiner, 1, "(", ")")
+    return _render_blocks(selected, layout, joiner, 1, "(", ")")
 
 
 def clause_text(n: int, j: int, names: Sequence[str] | None = None) -> str:

@@ -82,6 +82,17 @@ def _check_var(n: int, r: int) -> None:
         raise ValueError(f"variable index {r} outside 1..{n}")
 
 
+def _check_names(n: int, names: Iterable[str], what: str) -> tuple[str, ...]:
+    """``names`` as a tuple of n strs; ``what`` labels the type error."""
+    names = tuple(names)
+    if len(names) != n:
+        raise ValueError(f"{len(names)} names given for {n} variables")
+    for name in names:
+        if not isinstance(name, str):
+            raise TypeError(f"{what} must be a str, got {type(name).__name__}")
+    return names
+
+
 def _check_cap(n: int, cap: int, what: str) -> None:
     """Reject variable counts above a check's own cap ``cap``."""
     check_var_count(n)
@@ -323,7 +334,7 @@ class Anf(_Frozen):
     @property
     def monomials(self) -> frozenset[frozenset[int]]:
         """The monomials as sets of variable indices."""
-        t0, t1, t2 = _var_tuples(self.n)
+        t0, t1, t2 = _VAR_TUPLES[self.n]
         return frozenset(
             [frozenset(t0[m & 255] + t1[m >> 8 & 255] + t2[m >> 16]) for m in _set_bits(self.mask)]
         )
@@ -349,8 +360,7 @@ class Anf(_Frozen):
             return "0"
         from .blocks import _anf_layout, _mirror, _render_blocks  # text only
 
-        blocks, sel = _selectors(_mirror(self.n, self.mask), 8)
-        return _render_blocks(blocks, sel, _anf_layout(self.n), " ⊕ ", self.n + 1)
+        return _render_blocks(_mirror(self.n, self.mask), _anf_layout(self.n), " ⊕ ", self.n + 1)
 
 
 def _set_bits(x: int) -> list[int]:
@@ -437,10 +447,19 @@ def _chunk_tables(
     return tables
 
 
-@lru_cache(maxsize=None)
-def _var_tuples(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Chunk tables of the variable indices set in each bit pattern."""
-    return _chunk_tables(n, lambda r: (), lambda r: (r,))
+class _ChunkTables(dict):
+    """The chunk tables of ``clear`` and ``set_`` per n, each built on first
+    use and kept, so that a lookup is one dict subscript."""
+
+    def __init__(self, clear: Callable[[int], _T], set_: Callable[[int], _T]) -> None:
+        self._parts = clear, set_
+
+    def __missing__(self, n: int) -> list[tuple[_T, ...]]:
+        return self.setdefault(n, _chunk_tables(n, *self._parts))
+
+
+# the variable indices set in each bit pattern, read by ``Anf.monomials``
+_VAR_TUPLES = _ChunkTables(lambda r: (), lambda r: (r,))
 
 
 def to_anf(a: BoolFunc) -> Anf:

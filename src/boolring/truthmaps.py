@@ -7,7 +7,7 @@ from itertools import repeat
 
 from . import _EXPORTS
 from .ring import (
-    BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _chunk_tables, _set_bits,
+    BoolFunc, check_var_count, _ChunkTables, _Frozen, _check_index, _check_var, _set_bits,
 )
 
 __all__ = list(_EXPORTS["truthmaps"])
@@ -39,26 +39,11 @@ class Assignment(_Frozen):
         """E.g. ``j=2: a1=0 a2=1``; three table lookups, nothing per variable."""
         j = self.index
         t0, t1, t2 = _ASSIGNMENT_WORDS[self.n]
-        return f"j={j}: {t0[j & 255]}{t1[j >> 8 & 255]}{t2[j >> 16]}"
+        return f"j={j}:{t0[j & 255]}{t1[j >> 8 & 255]}{t2[j >> 16]}"
 
 
-class _WordTables(dict):
-    """Chunk tables of the words ``a<r>=<value>`` of each n, built on first use.
-
-    Every word but the last is followed by a space, so a rendered text
-    needs no cut.  A plain dict lookup keeps the per-item cost of
-    ``str(Assignment)`` down to one subscript.
-    """
-
-    def __missing__(self, n: int) -> list[tuple[str, ...]]:
-        def word(r: int, value: int) -> str:
-            return f"a{r}={value}" if r == n else f"a{r}={value} "
-
-        tables = self[n] = _chunk_tables(n, lambda r: word(r, 0), lambda r: word(r, 1))
-        return tables
-
-
-_ASSIGNMENT_WORDS = _WordTables()
+# the words ``a<r>=<value>``, each after its space, as in ``blocks._terms_layout``
+_ASSIGNMENT_WORDS = _ChunkTables(lambda r: f" a{r}=0", lambda r: f" a{r}=1")
 
 
 def _index_of(n: int, j: Assignment | int) -> int:

@@ -1,6 +1,8 @@
 """Layering: the operations modules do not depend on the verification
-suite, the package imports nothing until a name is used, and each CLI
-subcommand loads only the modules it runs."""
+suite, the package imports nothing until a name is used, each CLI
+subcommand loads only the modules it runs, and one module owns each
+decision of the text path: the 256-position blocks and the per-n chunk
+tables."""
 
 import ast
 import os
@@ -58,6 +60,38 @@ def test_only_ring_reads_the_bytes_of_a_vector():
             text = path.read_text(encoding="utf-8")
             for call in ("to_bytes(", "from_bytes(", "memoryview("):
                 assert call not in text, (path.name, call)
+
+
+def _calls(tree, name):
+    """The calls of the plain name ``name`` in ``tree``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+
+def test_only_blocks_cuts_a_vector_into_blocks():
+    # the 256-position blocks of the text renderer are made in blocks.py alone
+    for path in SRC.glob("*.py"):
+        if path.name == "blocks.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        if path.name != "ring.py":
+            assert "_selectors" not in text, path.name
+        shifts = [call.args[1] for call in _calls(ast.parse(text), "_selectors")]
+        assert not any(isinstance(s, ast.Constant) and s.value == 8 for s in shifts), path.name
+        assert "bytes(255 -" not in text, path.name
+
+
+def test_ring_keeps_the_one_store_of_chunk_tables():
+    # the per-n chunk tables live in ring._ChunkTables; only ring and blocks build tables
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dict_classes = [
+            node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", None) == "dict" for base in node.bases)
+        ]
+        assert dict_classes == (["_ChunkTables"] if path.name == "ring.py" else []), path.name
+        if path.name not in ("ring.py", "blocks.py"):
+            assert _calls(tree, "_chunk_tables") == [], path.name
 
 
 def test_cli_loads_and_emits_in_one_place():
