@@ -9,8 +9,8 @@ they permute minterms and maxterms, so they preserve model counts.
 from __future__ import annotations
 
 from . import _EXPORTS
-from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _var_tts
-from .truthmaps import Assignment, _index_of
+from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _index_arg, _var_tts
+from .truthmaps import Assignment
 
 __all__ = list(_EXPORTS["flipgroup"])
 
@@ -58,15 +58,6 @@ class FlipMask(_Frozen):
         return str(self.s)
 
 
-def _mask_of(n: int, s: FlipMask | int) -> int:
-    if isinstance(s, FlipMask):
-        if s.n != n:
-            raise ValueError(f"flip mask is over {s.n} variables, function over {n}")
-        return s.s
-    _check_index(n, s, "flip mask")
-    return s
-
-
 def apply_flip(a: BoolFunc, s: FlipMask | int) -> BoolFunc:
     """Negate the selected variables of ``a``.
 
@@ -74,7 +65,7 @@ def apply_flip(a: BoolFunc, s: FlipMask | int) -> BoolFunc:
     bit (j XOR s) of the input, realized one flipped variable at a time
     by swapping the opposite half-blocks of the vector.
     """
-    mask = _mask_of(a.n, s)
+    mask = _index_arg(a.n, s, FlipMask, "flip mask")
     x = a.tt
     for k, hi in enumerate(_var_tts(a.n)):
         if (mask >> k) & 1:
@@ -101,4 +92,5 @@ def pi(s: FlipMask | int, j: Assignment | int, n: int | None = None) -> Assignme
         n = j.n
     else:
         raise ValueError("variable count required when both arguments are plain ints")
-    return Assignment._of(n, _mask_of(n, s) ^ _index_of(n, j))
+    mask = _index_arg(n, s, FlipMask, "flip mask")
+    return Assignment._of(n, mask ^ _index_arg(n, j, Assignment, "assignment index"))

@@ -27,10 +27,11 @@ from collections import deque
 from typing import Iterable
 
 from . import _EXPORTS
-from .flipgroup import FlipMask, _mask_of
+from .flipgroup import FlipMask
 from .primes import PrimeSet, decompose
 from .ring import (
-    BoolFunc, check_var_count, _Frozen, _check_names, _check_var, _decimal, _ones, _var_tts,
+    BoolFunc, check_var_count, _Frozen, _check_names, _check_var, _decimal, _index_arg, _ones,
+    _var_tts,
 )
 
 __all__ = list(_EXPORTS["frontend"])
@@ -313,7 +314,7 @@ def eval_ast(f: Formula) -> BoolFunc:
 
 def ast_flip(f: Formula, s: FlipMask | int) -> Formula:
     """Substitute each flipped variable by its negation, collapsing ``!!``."""
-    mask = _mask_of(f.n, s)
+    mask = _index_arg(f.n, s, FlipMask, "flip mask")
     out: list[int] = []
     emit = out.append
     for op in f.code:
@@ -456,7 +457,7 @@ def eval_cnf(doc: CnfDoc) -> BoolFunc:
 
 def cnf_flip(doc: CnfDoc, s: FlipMask | int) -> CnfDoc:
     """Negate the masked variables literal by literal."""
-    mask = _mask_of(doc.n, s)
+    mask = _index_arg(doc.n, s, FlipMask, "flip mask")
     out = tuple(
         tuple(-lit if (mask >> (abs(lit) - 1)) & 1 else lit for lit in cl)
         for cl in doc.clauses

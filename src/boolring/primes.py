@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 from . import _EXPORTS
 from .ring import (
-    BoolFunc, check_var_count, _Frozen, _check_index, _check_names, _ones, _pack_bits, _set_bits,
+    BoolFunc, check_var_count, _Frozen, _check_index, _check_names, _ones, _pack_bits, _require_n,
+    _set_bits,
 )
 
 __all__ = list(_EXPORTS["primes"])
@@ -122,8 +123,7 @@ def compose(n: int, indices: PrimeSet | Iterable[int]) -> BoolFunc:
     full set gives 0.
     """
     if isinstance(indices, PrimeSet):
-        if indices.n != n:
-            raise ValueError(f"index set is for {indices.n} variables, not {n}")
+        _require_n(indices, n, "index set")
     else:
         indices = PrimeSet(n, indices)
     return BoolFunc(n, _ones(n) ^ indices.mask)

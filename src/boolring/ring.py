@@ -74,6 +74,22 @@ def _check_index(n: int, j: int, what: str = "assignment index") -> None:
         raise ValueError(f"{what} {j} outside 0..{(1 << n) - 1}")
 
 
+def _require_n(x: object, n: int, what: str) -> None:
+    """Reject a value ``x`` over another variable count than n."""
+    if x.n != n:
+        raise ValueError(f"{what} is over {x.n} variables, not {n}")
+
+
+def _index_arg(n: int, x: object, cls: type, what: str) -> int:
+    """The index that ``x`` names: a ``cls`` value over n variables, whose
+    fields are the count and the index, or an int checked by ``_check_index``."""
+    if isinstance(x, cls):
+        _require_n(x, n, what)
+        return getattr(x, cls.__slots__[1])
+    _check_index(n, x, what)
+    return x
+
+
 def _check_var(n: int, r: int) -> None:
     """Reject anything but an int variable index in 1..n."""
     if isinstance(r, bool) or not isinstance(r, int):
@@ -205,21 +221,21 @@ class BoolFunc(_Frozen):
         """Ring sum: pointwise XOR."""
         if not isinstance(other, BoolFunc):
             return NotImplemented
-        _require_same_n(self, other)
+        _require_n(other, self.n, "right operand")
         return BoolFunc(self.n, self.tt ^ other.tt)
 
     def __and__(self, other: BoolFunc) -> BoolFunc:
         """Ring product: pointwise AND."""
         if not isinstance(other, BoolFunc):
             return NotImplemented
-        _require_same_n(self, other)
+        _require_n(other, self.n, "right operand")
         return BoolFunc(self.n, self.tt & other.tt)
 
     def __or__(self, other: BoolFunc) -> BoolFunc:
         """Disjunction: pointwise OR, which equals the ring form a + b + a*b."""
         if not isinstance(other, BoolFunc):
             return NotImplemented
-        _require_same_n(self, other)
+        _require_n(other, self.n, "right operand")
         return BoolFunc(self.n, self.tt | other.tt)
 
     def __invert__(self) -> BoolFunc:
@@ -259,11 +275,6 @@ class BoolFunc(_Frozen):
 
     def __repr__(self) -> str:
         return f"BoolFunc(n={self.n}, tt=0x{self.to_hex()})"
-
-
-def _require_same_n(a: BoolFunc | Anf, b: BoolFunc | Anf) -> None:
-    if a.n != b.n:
-        raise ValueError(f"mixed variable counts: {a.n} and {b.n}")
 
 
 def zero(n: int) -> BoolFunc:
@@ -343,14 +354,14 @@ class Anf(_Frozen):
         """Sum of polynomials: duplicate monomials cancel in pairs."""
         if not isinstance(other, Anf):
             return NotImplemented
-        _require_same_n(self, other)
+        _require_n(other, self.n, "right operand")
         return Anf._of(self.n, self.mask ^ other.mask)
 
     def __and__(self, other: Anf) -> Anf:
         """Product of polynomials: the polynomial of the pointwise product."""
         if not isinstance(other, Anf):
             return NotImplemented
-        _require_same_n(self, other)
+        _require_n(other, self.n, "right operand")
         return to_anf(from_anf(self) & from_anf(other))
 
     def __str__(self) -> str:

@@ -23,9 +23,9 @@ live here, so no operations module loops over all 2**n assignments.
 flips form a group acting on the maxterms and keep model counts, and
 ``verify_resolution`` replays a classical cut-rule derivation entirely
 inside the ring.  Each check counts its assertions on a ``Checker``,
-which also times the run, and returns a deterministic ``Report``.  The
-checks use only public operations of the package, so the suite doubles
-as an integration test.
+which also refuses an n above the check's cap and times the run, and
+returns a deterministic ``Report``.  The checks use only public
+operations of the package, so the suite doubles as an integration test.
 """
 
 from __future__ import annotations
@@ -106,10 +106,12 @@ class Report(_Frozen):
 
 
 class Checker:
-    """One run of a check: counts its elementary checks, keeps the first
-    failure description and times the run from construction to ``report``."""
+    """One run of a check: refuses an n above the cap ``THEOREM_CAPS`` gives
+    ``name``, counts its elementary checks, keeps the first failure
+    description and times the run from construction to ``report``."""
 
     def __init__(self, name: str, n: int) -> None:
+        _check_cap(n, THEOREM_CAPS.get(name, n), name)  # a name without a cap: n alone
         self.name = name
         self.n = n
         self.checks = 0
@@ -140,7 +142,6 @@ def verify_ti(n: int) -> Report:
     uniquely into a pair drawn from the two.  All nontrivial s are
     tried for n <= 2; sixteen seeded-random choices for n = 3.
     """
-    _check_cap(n, THEOREM_CAPS["TI"], "TI enumeration")
     chk = Checker("TI", n)
     size = 1 << (1 << n)
     ones_tt = size - 1
@@ -181,7 +182,6 @@ def verify_tii_tiii(n: int) -> Report:
     exactly the 2**n maxterms; composing every index subset and
     decomposing every function must be mutually inverse bijections.
     """
-    _check_cap(n, THEOREM_CAPS["TII+TIII"], "prime scan")
     chk = Checker("TII+TIII", n)
     size = 1 << n
     space = 1 << size
@@ -221,6 +221,7 @@ class AllowedMapTable(_Frozen):
     __slots__ = ("n", "maps")
 
     def __init__(self, n: int, maps: Iterable[Iterable[int]]) -> None:
+        check_var_count(n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "maps", tuple(tuple(m) for m in maps))
 
@@ -240,7 +241,7 @@ def enumerate_allowed_maps(n: int) -> AllowedMapTable:
     candidate at once.  The scan is capped at ``THEOREM_CAPS["TIV"]``;
     its vectors come from the uncapped ``_var_tts`` and ``_ones``.
     """
-    _check_cap(n, THEOREM_CAPS["TIV"], "exhaustive map search")
+    _check_cap(n, THEOREM_CAPS["TIV"], "TIV")
     size = 1 << (1 << n)  # number of functions over n variables
     every = _ones(size)  # one bit per candidate map
     # sends[t][v]: the candidates that send the function with vector t to v
@@ -277,7 +278,6 @@ def enumerate_allowed_maps(n: int) -> AllowedMapTable:
 
 def verify_tiv(n: int) -> Report:
     """The exhaustive map search finds exactly the per-assignment evaluations."""
-    _check_cap(n, THEOREM_CAPS["TIV"], "allowed-map search")
     chk = Checker("TIV", n)
     table = enumerate_allowed_maps(n)
     size = 1 << n
@@ -323,7 +323,6 @@ def verify_tv(n: int) -> Report:
     generating set is checked to produce the same minterms in a
     different order.
     """
-    _check_cap(n, THEOREM_CAPS["TV"], "basis check")
     chk = Checker("TV", n)
     size = 1 << n
     gens = [basis(n, r) for r in range(1, n + 1)]
@@ -387,7 +386,6 @@ def flip_group_check(n: int) -> Report:
     assignment indices.  Exhaustive over the whole function space for
     n <= 3, seeded random samples above that.
     """
-    _check_cap(n, THEOREM_CAPS["flip-group"], "group check")
     chk = Checker("flip-group", n)
     size = 1 << n
     if n <= 3:
@@ -429,7 +427,6 @@ def conservation_check(a: BoolFunc) -> Report:
     and is capped at ``THEOREM_CAPS["conservation"]``, n <= 14 (about 0.6 s
     there).
     """
-    _check_cap(a.n, THEOREM_CAPS["conservation"], "conservation check")
     chk = Checker("conservation", a.n)
     want = count_models(a)
     for s in range(1 << a.n):

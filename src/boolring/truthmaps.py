@@ -7,7 +7,8 @@ from itertools import repeat
 
 from . import _EXPORTS
 from .ring import (
-    BoolFunc, check_var_count, _ChunkTables, _Frozen, _check_index, _check_var, _set_bits,
+    BoolFunc, check_var_count, _ChunkTables, _Frozen, _check_index, _check_var, _index_arg,
+    _set_bits,
 )
 
 __all__ = list(_EXPORTS["truthmaps"])
@@ -46,18 +47,9 @@ class Assignment(_Frozen):
 _ASSIGNMENT_WORDS = _ChunkTables(lambda r: f" a{r}=0", lambda r: f" a{r}=1")
 
 
-def _index_of(n: int, j: Assignment | int) -> int:
-    if isinstance(j, Assignment):
-        if j.n != n:
-            raise ValueError(f"assignment is over {j.n} variables, function over {n}")
-        return j.index
-    _check_index(n, j)
-    return j
-
-
 def eval_at(a: BoolFunc, j: Assignment | int) -> int:
     """Value of ``a`` under assignment ``j``: bit j of the truth vector."""
-    return (a.tt >> _index_of(a.n, j)) & 1
+    return (a.tt >> _index_arg(a.n, j, Assignment, "assignment index")) & 1
 
 
 def count_models(a: BoolFunc) -> int:

@@ -2,15 +2,21 @@
 
 A bool or a non-int raises TypeError, a value out of range ValueError,
 and a variable count above the cap, or above a check's own cap,
-SizeLimitError.  The rules live in ``boolring.ring``; the last test keeps
-inline copies of them from coming back to the other modules.
+SizeLimitError; a value over another variable count ValueError, in one
+wording.  The rules live in ``boolring.ring``, and ``Checker`` applies
+each check's cap; the last tests keep inline copies of them from coming
+back to the other modules.
 """
 
+import ast
+import re
 from pathlib import Path
 
 import pytest
 
 from boolring import (
+    THEOREM_CAPS,
+    AllowedMapTable,
     Anf,
     Assignment,
     BoolFunc,
@@ -48,6 +54,7 @@ from boolring import (
     verify_tv,
     zero,
 )
+from boolring.theorems import Checker
 
 F2 = BoolFunc(2, 0b0110)
 BIG = get_max_vars() + 1
@@ -184,6 +191,9 @@ CASES = [
     # a mask or assignment over another count than the explicit n
     ("pi(FlipMask(2, 1), 1, 3)", lambda: pi(FlipMask(2, 1), 1, 3), ValueError),
     ("pi(1, Assignment(2, 1), 3)", lambda: pi(1, Assignment(2, 1), 3), ValueError),
+    # the exhaustive oracle's table
+    ("AllowedMapTable(True, ())", lambda: AllowedMapTable(True, ()), TypeError),
+    ("AllowedMapTable(0, ())", lambda: AllowedMapTable(0, ()), SizeLimitError),
 ]
 
 
@@ -214,3 +224,58 @@ def test_range_and_cap_rules_live_in_ring():
     assert _files_containing("outside 0..") == ["ring.py"]
     assert _files_containing("outside 1..") == ["ring.py"]
     assert _files_containing("raise SizeLimitError") == ["cli.py", "ring.py"]
+
+
+F3 = BoolFunc(3, 0)
+
+MISMATCHES = [
+    ("BoolFunc ^", lambda: F3 ^ F2, "right operand"),
+    ("BoolFunc &", lambda: F3 & F2, "right operand"),
+    ("BoolFunc |", lambda: F3 | F2, "right operand"),
+    ("Anf ^", lambda: Anf(3, []) ^ Anf(2, []), "right operand"),
+    ("Anf &", lambda: Anf(3, []) & Anf(2, []), "right operand"),
+    ("compose", lambda: compose(3, PrimeSet(2, [])), "index set"),
+    ("apply_flip", lambda: apply_flip(F3, FlipMask(2, 1)), "flip mask"),
+    ("ast_flip", lambda: ast_flip(parse_formula("a1 & a3"), FlipMask(2, 1)), "flip mask"),
+    ("cnf_flip", lambda: cnf_flip(CnfDoc(3, ((1, 2, 3),)), FlipMask(2, 1)), "flip mask"),
+    ("pi mask", lambda: pi(FlipMask(2, 1), 1, 3), "flip mask"),
+    ("pi assignment", lambda: pi(1, Assignment(2, 1), 3), "assignment index"),
+    ("eval_at", lambda: eval_at(F3, Assignment(2, 1)), "assignment index"),
+]
+
+
+@pytest.mark.parametrize("call, what", [(c, w) for _, c, w in MISMATCHES],
+                         ids=[i for i, _, _ in MISMATCHES])
+def test_variable_count_mismatch_has_one_wording(call, what):
+    with pytest.raises(ValueError, match=f"^{what} is over 2 variables, not 3$"):
+        call()
+
+
+@pytest.mark.parametrize("name, cap", THEOREM_CAPS.items())
+def test_checker_applies_each_cap_under_its_report_name(name, cap):
+    Checker(name, cap)
+    with pytest.raises(SizeLimitError, match=f"^{re.escape(name)} is capped at n <= {cap}$"):
+        Checker(name, cap + 1)
+
+
+def test_mismatch_rule_lives_in_ring():
+    assert _files_containing("is over {") == ["ring.py"]
+    assert _files_containing("variables, not") == ["ring.py"]
+
+
+def test_index_argument_rule_lives_in_ring():
+    for name in ("_mask_of", "_index_of", "_require_same_n"):
+        assert _files_containing(f"def {name}(") == []
+    assert _files_containing("def _index_arg(") == ["ring.py"]
+
+
+def test_only_checker_and_the_public_oracle_apply_caps_in_theorems():
+    tree = ast.parse((SRC / "theorems.py").read_text(encoding="utf-8"))
+    callers = {
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_cap"
+    }
+    assert callers == {"Checker", "enumerate_allowed_maps"}
