@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -356,12 +357,27 @@ class TestDeterminism:
         assert first == second
 
 
+# the environment without PYTHONDEVMODE, which would make the process entry keep
+# the interpreter's teardown, and without PYTHONUNBUFFERED, so that output the
+# entry does not flush is lost
+PLAIN_ENV = {k: v for k, v in os.environ.items()
+             if k not in ("PYTHONDEVMODE", "PYTHONUNBUFFERED")}
+
+
 class TestEntryPoint:
+    """``python -m boolring.cli``, which ends the process with ``os._exit``."""
+
+    FLAGS: tuple[str, ...] = ()
+
+    def command(self, *argv):
+        return [sys.executable, *self.FLAGS, "-m", "boolring.cli", *argv]
+
     def test_module_invocation(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "boolring.cli", "taut", "--formula", "a1 | !a1"],
+            self.command("taut", "--formula", "a1 | !a1"),
             capture_output=True,
             text=True,
+            env=PLAIN_ENV,
         )
         assert proc.returncode == 0
         assert "tautology: true" in proc.stdout
@@ -373,9 +389,10 @@ class TestEntryPoint:
     def test_closed_stdout_exits_141_silently(self, argv):
         # several MB of output at n=16, far more than a pipe buffer holds
         proc = subprocess.Popen(
-            [sys.executable, "-m", "boolring.cli", *argv, "--formula", "a1|!a1", "--n", "16"],
+            self.command(*argv, "--formula", "a1|!a1", "--n", "16"),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=PLAIN_ENV,
         )
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
@@ -383,6 +400,40 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert stderr == b""
+
+
+class TestEntryPointDevMode(TestEntryPoint):
+    """The same under ``-X dev``, where the process entry keeps the teardown."""
+
+    FLAGS = ("-X", "dev")
+
+
+# registered before the CLI runs, the probe prints only if the interpreter's
+# teardown runs; with --settrace it installs a tracer that does nothing
+_ATEXIT_PROBE = """\
+import atexit, runpy, sys
+atexit.register(print, "teardown ran")
+if sys.argv[1:] == ["--settrace"]:
+    sys.settrace(lambda *args: None)
+sys.argv = ["boolring", "taut", "--formula", "a1 | !a1"]
+runpy.run_module("boolring.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("options, args, kept", [
+    ((), (), False),
+    (("-X", "dev"), (), True),
+    ((), ("--settrace",), True),
+    (("-m", "cProfile", "-o", os.devnull), (), True),
+], ids=["plain", "dev", "settrace", "cProfile"])
+def test_teardown_is_kept_only_when_watched(tmp_path, options, args, kept):
+    probe = tmp_path / "probe.py"
+    probe.write_text(_ATEXIT_PROBE, encoding="utf-8")
+    proc = subprocess.run([sys.executable, *options, str(probe), *args],
+                          capture_output=True, text=True, env=PLAIN_ENV)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("tautology: true\nteardown ran\n" if kept else "tautology: true\n")
+    assert proc.stderr == ""
 
 
 SUBCOMMANDS = ["canon", "count", "expand", "flip", "verify", "taut"]

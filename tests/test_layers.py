@@ -143,13 +143,12 @@ def test_bare_import_loads_no_submodule():
     assert loaded == []
 
 
+# main, not the process entry, which ends the process before anything can print
 _RUN_SUBCOMMAND = """\
-import runpy, sys
-sys.argv = ["boolring", *sys.argv[1:]]
-try:
-    runpy.run_module("boolring.cli", run_name="__main__")
-except SystemExit as exc:
-    print(exc.code, *(m for m in sys.modules if m.startswith("boolring.")))
+import sys
+from boolring.cli import main
+code = main(sys.argv[1:])
+print(code, *(m for m in sys.modules if m.startswith("boolring.")))
 """
 
 
