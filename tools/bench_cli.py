@@ -101,7 +101,9 @@ def compare(base: Path, change: Path, argv: list[str], flags: list[str], runs: i
     }
 
 
-def git_sha(checkout: Path) -> dict:
+def checkout_state(checkout: Path) -> dict:
+    """The checkout's HEAD sha, whether its tree differs from HEAD, and whether
+    it holds compiled bytecode of boolring."""
     def git(*args: str) -> str:
         return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
@@ -124,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
-        "base": git_sha(base),
-        "change": git_sha(change),
+        "base": checkout_state(base),
+        "change": checkout_state(change),
         "interpreter_start": {},
         "cases": {},
     }
