@@ -19,7 +19,7 @@ from itertools import chain, compress
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .ring import _chunk_tables, _ones, _selectors, _var_tts
+from .ring import _chunk_tables, _ones, _selectors, _var_name, _var_tts
 
 __all__: list[str] = []
 
@@ -126,11 +126,11 @@ def _anf_layout(n: int) -> _Layout:
     # of c standing for variable n + 1 - v
     low, mid, top = _chunk_tables(n, lambda v: (n + 1 - v,), lambda v: ())
     steps = bytes(map(len, low))
-    words = ["·".join(f"a{r}" for r in reversed(rs)) for rs in low]
+    words = ["·".join(map(_var_name, reversed(rs))) for rs in low]
     lead = _table(steps, ["·" + w if w else "" for w in words])
     bare = _table(steps, [w or "1" for w in words])
     mid_text, top_text = (
-        tuple(["".join(f"a{r}·" for r in reversed(rs)) for rs in t]) for t in (mid, top)
+        tuple(["".join(_var_name(r) + "·" for r in reversed(rs)) for rs in t]) for t in (mid, top)
     )
     width = max(n - 8, 0)
 
@@ -153,7 +153,7 @@ def _terms_layout(
     ``names`` defaults to a1..an.
     """
     if names is None:
-        names = tuple(f"a{r}" for r in range(1, n + 1))
+        names = tuple(map(_var_name, range(1, n + 1)))
     # entry b: the chunk's words under the bits of b, each after sep
     low, mid, top = _chunk_tables(
         n, lambda r: sep + clear.format(names[r - 1]), lambda r: sep + set_.format(names[r - 1])

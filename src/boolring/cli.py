@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Sequence
 from .primes import decompose, prime_cnf_text
 from .ring import (
     DEFAULT_MAX_VARS, BoolFunc, SizeLimitError, check_var_count, get_max_vars, one, set_max_vars,
-    to_anf, _decimal, _set_bits,
+    to_anf, _decimal, _set_bits, _var_name,
 )
 from .truthmaps import count_models, satisfying_assignments
 
@@ -93,7 +93,7 @@ def _report_lines(fields: Fields) -> Iterable[str]:
 
     for report in fields["reports"]:
         yield Report(elapsed=0.0, **report).line(with_elapsed=False)
-    yield f"all_passed: {'true' if fields['all_passed'] else 'false'}"
+    yield from _field_lines({"all_passed": fields["all_passed"]})
 
 
 def _load(args: argparse.Namespace) -> tuple[BoolFunc, Source, Fields]:
@@ -153,7 +153,7 @@ def _flip(func: BoolFunc, source: Source, args: argparse.Namespace) -> tuple[Fie
     flipped = apply_flip(func, mask)
     fields: Fields = {
         "mask": mask.s,
-        "flipped_variables": [f"a{r}" for r in mask.variables()],
+        "flipped_variables": list(map(_var_name, mask.variables())),
         "original_bits": func.to_bits(),
         "flipped_bits": flipped.to_bits(),
     }

@@ -9,7 +9,10 @@ they permute minterms and maxterms, so they preserve model counts.
 from __future__ import annotations
 
 from . import _EXPORTS
-from .ring import BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _index_arg, _var_tts
+from .ring import (
+    BoolFunc, check_var_count, _Frozen, _check_index, _check_var, _index_arg, _var_index,
+    _var_name, _var_tts,
+)
 from .truthmaps import Assignment
 
 __all__ = list(_EXPORTS["flipgroup"])
@@ -45,11 +48,11 @@ class FlipMask(_Frozen):
         s = 0
         for item in stripped.split(","):
             item = item.strip()
-            if not (item.startswith("a") and item.isascii() and item[1:].isdigit()):
+            r = _var_index(item)
+            if r is None:
                 raise ValueError(f"flip mask entries must look like a3, got {item!r}")
-            if item[1] == "0" and item != "a0":  # a01 would name a1
+            if item != _var_name(r):  # a01 would name a1
                 raise ValueError(f"flip mask entry {item!r} has a leading zero")
-            r = int(item[1:])
             _check_var(n, r)
             s |= 1 << (r - 1)
         return cls(n, s)

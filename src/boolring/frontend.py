@@ -31,7 +31,7 @@ from .flipgroup import FlipMask
 from .primes import PrimeSet, decompose
 from .ring import (
     BoolFunc, check_var_count, _Frozen, _check_names, _check_var, _decimal, _index_arg, _ones,
-    _var_tts,
+    _var_index, _var_name, _var_tts,
 )
 
 __all__ = list(_EXPORTS["frontend"])
@@ -157,7 +157,6 @@ class Formula(_Frozen):
 # tokens and precedence parser
 
 _TOKEN_RE = re.compile(r"(->|[()!&|^]|\d+|[A-Za-z_][A-Za-z0-9_]*)|\S")  # a stray character is ''
-_INDEXED_RE = re.compile(r"a(\d+)\Z")
 
 
 def _error(text: str, k: int, message: str) -> FormulaSyntaxError:
@@ -195,11 +194,10 @@ def _parse(text: str, declared_n: int | None) -> tuple[deque[int], int, dict[str
             raise _error(text, k, "unexpected end of input")
         if not (tok[0].isalpha() or tok[0] == "_"):
             raise _error(text, k, f"unexpected {tok!r}")
-        m = _INDEXED_RE.fullmatch(tok)
-        index = int(m.group(1)) if m else None
+        index = _var_index(tok)
         if index == 0:
             raise _error(text, k, "variable indices start at a1")
-        if m and tok[1] == "0":  # a01 would name a1
+        if index is not None and tok != _var_name(index):  # a01 would name a1
             raise _error(text, k, f"variable indices have no leading zero, got {tok}")
         if max_index and bool(named) != (index is None):  # other style seen
             raise _error(text, k, "cannot mix indexed variables (a<k>) with named variables")
@@ -210,7 +208,7 @@ def _parse(text: str, declared_n: int | None) -> tuple[deque[int], int, dict[str
                 named[tok] = len(named) + 1
             index = named[tok]
         elif declared_n is not None and index > declared_n:
-            raise _error(text, k, f"variable a{index} beyond declared count {declared_n}")
+            raise _error(text, k, f"variable {_var_name(index)} beyond declared count {declared_n}")
         max_index = max(max_index, index)
         return index
 
@@ -275,7 +273,7 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
     count = n if n is not None else max(max_index, 1)
     check_var_count(count)
     names = tuple(named)  # empty for indexed variables
-    names += tuple(f"a{r}" for r in range(len(names) + 1, count + 1))
+    names += tuple(map(_var_name, range(len(names) + 1, count + 1)))
     return Formula._of(tuple(code), count, names)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from . import _EXPORTS
 from .ring import (
     BoolFunc, check_var_count, _Frozen, _check_index, _check_names, _ones, _pack_bits, _require_n,
-    _set_bits,
+    _set_bits, _var_name,
 )
 
 __all__ = list(_EXPORTS["primes"])
@@ -89,7 +89,7 @@ class LiteralProduct(_Frozen):
 
     def __str__(self) -> str:
         return "·".join(
-            f"a{r}" if positive else f"~a{r}"
+            _var_name(r) if positive else "~" + _var_name(r)
             for r, positive in enumerate(self.polarities, 1)
         )
 

@@ -98,6 +98,17 @@ def _check_var(n: int, r: int) -> None:
         raise ValueError(f"variable index {r} outside 1..{n}")
 
 
+def _var_name(r: int) -> str:
+    """The name of variable r in every text and field: ``a<r>``."""
+    return f"a{r}"
+
+
+def _var_index(token: str) -> int | None:
+    """The index that 'a' and ASCII digits name (a01 reads as 1), else None."""
+    digits = token[1:]
+    return int(digits) if token[:1] == "a" and digits.isascii() and digits.isdigit() else None
+
+
 def _check_names(n: int, names: Iterable[str], what: str) -> tuple[str, ...]:
     """``names`` as a tuple of n strs; ``what`` labels the type error."""
     names = tuple(names)
@@ -160,9 +171,7 @@ class _Frozen:
     def __init_subclass__(cls) -> None:
         fields = cls.__match_args__ + cls.__dict__.get("__slots__", ())
         cls.__match_args__ = fields
-        get = attrgetter(*fields)
-        # the field tuple; attrgetter returns a bare value for one field
-        cls._astuple = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+        cls._astuple = attrgetter(*fields)  # the field tuple: every class has two or more
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

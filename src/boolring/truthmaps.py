@@ -8,7 +8,7 @@ from itertools import repeat
 from . import _EXPORTS
 from .ring import (
     BoolFunc, check_var_count, _ChunkTables, _Frozen, _check_index, _check_var, _index_arg,
-    _set_bits,
+    _set_bits, _var_name,
 )
 
 __all__ = list(_EXPORTS["truthmaps"])
@@ -44,7 +44,7 @@ class Assignment(_Frozen):
 
 
 # the words ``a<r>=<value>``, each after its space, as in ``blocks._terms_layout``
-_ASSIGNMENT_WORDS = _ChunkTables(lambda r: f" a{r}=0", lambda r: f" a{r}=1")
+_ASSIGNMENT_WORDS = _ChunkTables(lambda r: f" {_var_name(r)}=0", lambda r: f" {_var_name(r)}=1")
 
 
 def eval_at(a: BoolFunc, j: Assignment | int) -> int:

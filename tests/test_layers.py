@@ -1,11 +1,12 @@
 """Layering: the operations modules do not depend on the verification
 suite, the package imports nothing until a name is used, each CLI
 subcommand loads only the modules it runs, and one module owns each
-decision of the text path: the 256-position blocks and the per-n chunk
-tables."""
+decision of the text path: the 256-position blocks, the per-n chunk
+tables and the variable names."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -92,6 +93,50 @@ def test_ring_keeps_the_one_store_of_chunk_tables():
         assert dict_classes == (["_ChunkTables"] if path.name == "ring.py" else []), path.name
         if path.name not in ("ring.py", "blocks.py"):
             assert _calls(tree, "_chunk_tables") == [], path.name
+
+
+def _name_spellings(tree):
+    """The lines of ``tree`` that write 'a' before a formatted value, test a
+    token for the 'a' prefix or match 'a' and digits with a regex."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            lines += [node.lineno for part, after in zip(node.values, node.values[1:])
+                      if isinstance(part, ast.Constant) and isinstance(after, ast.FormattedValue)
+                      and re.search(r"(?<!\w)a\Z", part.value)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                "startswith", "removeprefix"):
+            lines += [node.lineno for a in node.args if isinstance(a, ast.Constant)
+                      and a.value == "a"]
+        elif isinstance(node, ast.Compare):
+            lines += [node.lineno for c in (node.left, *node.comparators)
+                      if isinstance(c, ast.Constant) and c.value == "a"]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            lines += [node.lineno] if re.search(r"a\(?\\d", node.value) else []
+    return lines
+
+
+def test_only_ring_writes_and_reads_variable_names():
+    # ring._var_name writes a<r> and ring._var_index reads it, for every text,
+    # parser and CLI field
+    import boolring.frontend
+    import boolring.ring
+
+    assert boolring.ring._var_name(12) == "a12"
+    assert boolring.ring._var_index("a12") == 12
+    assert not hasattr(boolring.frontend, "_INDEXED_RE")
+    for path in SRC.glob("*.py"):
+        if path.name != "ring.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _name_spellings(tree) == [], path.name
+
+
+def test_name_spellings_finds_each_form():
+    for code in ('f"a{r}"', 'f"~a{r}"', 'f" a{r}=0"', 'f"variable a{i} beyond"',
+                 'tok.startswith("a")', 'tok[0] == "a"', 're.compile(r"a(\\d+)\\Z")'):
+        assert _name_spellings(ast.parse(code)) == [1], code
+    for code in ('f"data{r}"', 'f"{a}"', '"a1"', 'tok.startswith("ab")'):
+        assert _name_spellings(ast.parse(code)) == [], code
 
 
 def test_cli_loads_and_emits_in_one_place():

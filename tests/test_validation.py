@@ -279,3 +279,40 @@ def test_only_checker_and_the_public_oracle_apply_caps_in_theorems():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_cap"
     }
     assert callers == {"Checker", "enumerate_allowed_maps"}
+
+
+# a variable token, read by the formula parser and by FlipMask.parse: the two
+# accept the same tokens as the same index and keep their own messages
+@pytest.mark.parametrize("n", [1, 3, 24])
+def test_parser_and_flip_mask_read_the_same_variable_tokens(n):
+    for r in (1, n):
+        token = f"a{r}"
+        assert parse_formula(token, n).code == (r,)
+        assert FlipMask.parse(token, n).variables() == (r,)
+    refusals = [
+        ("a0", "variable indices start at a1 (at position 0)", f"variable index 0 outside 1..{n}"),
+        ("a01", "variable indices have no leading zero, got a01 (at position 0)",
+         "flip mask entry 'a01' has a leading zero"),
+        (f"a{n + 1}", f"variable a{n + 1} beyond declared count {n} (at position 0)",
+         f"variable index {n + 1} outside 1..{n}"),
+        ("a١", "unexpected '١' (at position 1)", "flip mask entries must look like a3, got 'a١'"),
+    ]
+    for token, formula_message, mask_message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(formula_message)}$"):
+            parse_formula(token, n)
+        with pytest.raises(ValueError, match=f"^{re.escape(mask_message)}$"):
+            FlipMask.parse(token, n)
+    # a1x is an identifier, so a named variable of the formula, never an index
+    assert parse_formula("a1x", n).names[0] == "a1x"
+    with pytest.raises(ValueError, match="^flip mask entries must look like a3, got 'a1x'$"):
+        FlipMask.parse("a1x", n)
+
+
+def test_variable_index_is_a_and_ascii_digits_only():
+    from boolring.ring import _var_index, _var_name
+
+    for r in (0, 1, 9, 24, 100):
+        assert _var_index(_var_name(r)) == r
+    assert _var_index("a01") == 1
+    for token in ("a", "a١", "a²", "a1x", "A1", "b1", "a-1", "a+1", "a 1", " a1", "a_1", ""):
+        assert _var_index(token) is None, token

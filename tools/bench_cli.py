@@ -116,9 +116,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--runs", type=int, default=20, help="timed pairs per case and mode")
+    parser.add_argument("--runs", type=int, default=20,
+                        help="timed pairs per case and mode, at least 2")
     parser.add_argument("--out", type=Path, default=Path("BENCH_cli.json"))
     args = parser.parse_args(argv)
+    if args.runs < 2:  # the quartiles need two runs
+        parser.error(f"--runs must be at least 2, got {args.runs}")
     base, change = args.base.resolve(), args.change.resolve()
 
     record: dict = {
